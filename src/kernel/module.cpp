@@ -40,7 +40,48 @@ std::string violation(const char* law, std::uint64_t lhs, std::uint64_t rhs) {
   return buf;
 }
 
+// Bytes the counter table's rows occupy. A field written into KernelStats
+// by hand, outside the table, would be missed by merge(), normalized(), the
+// scap_stats_t mirror and chaos_run; the static_assert below rejects it.
+constexpr std::size_t table_bytes() {
+  std::size_t n = 0;
+#define SCAP_STATS_FIELD(name, combine, determinism) \
+  n += sizeof(StatCell<StatCombine::combine>::type);
+#define SCAP_STATS_ARRAY(name, combine, determinism, kernel_size, c_capacity) \
+  n += sizeof(StatCell<StatCombine::combine>::type) * (kernel_size);
+#include "kernel/stats_determinism.inc"
+  return n;
+}
+static_assert(sizeof(KernelStats) == table_bytes(),
+              "KernelStats has a field outside the counter table");
+
 }  // namespace
+
+void KernelStats::merge(const KernelStats& other) {
+#define SCAP_STATS_FIELD(name, combine, determinism) \
+  combine_cell<StatCombine::combine>(name, other.name);
+#define SCAP_STATS_ARRAY(name, combine, determinism, kernel_size, c_capacity) \
+  for (std::size_t i = 0; i < kernel_size; ++i) {                             \
+    combine_cell<StatCombine::combine>(name[i], other.name[i]);               \
+  }
+#include "kernel/stats_determinism.inc"
+}
+
+KernelStats normalized(KernelStats s) {
+#define SCAP_STATS_FIELD(name, combine, determinism) \
+  if constexpr (StatDeterminism::determinism !=      \
+                StatDeterminism::kDeterministic) {   \
+    s.name = StatCell<StatCombine::combine>::kInit;  \
+  }
+#define SCAP_STATS_ARRAY(name, combine, determinism, kernel_size, c_capacity) \
+  if constexpr (StatDeterminism::determinism !=                               \
+                StatDeterminism::kDeterministic) {                            \
+    std::fill(std::begin(s.name), std::end(s.name),                           \
+              StatCell<StatCombine::combine>::kInit);                         \
+  }
+#include "kernel/stats_determinism.inc"
+  return s;
+}
 
 std::string KernelStats::check_conservation() const {
   // Law 1: every packet that entered landed in exactly one verdict bucket.

@@ -28,6 +28,7 @@
 #include "kernel/flow_table.hpp"
 #include "kernel/memory.hpp"
 #include "kernel/ppl.hpp"
+#include "kernel/stats_determinism.hpp"
 #include "nic/nic.hpp"
 #include "packet/bpf.hpp"
 #include "packet/packet.hpp"
@@ -148,75 +149,22 @@ struct PacketOutcome {
   StreamId stream_id = kInvalidStreamId;
 };
 
+/// Kernel counters. Every field is one row of the counter table
+/// (stats_determinism.inc), which documents it.
 struct KernelStats {
-  std::uint64_t pkts_seen = 0;
-  std::uint64_t bytes_seen = 0;
-  std::uint64_t pkts_stored = 0;
-  std::uint64_t bytes_stored = 0;
-  std::uint64_t pkts_control = 0;
-  std::uint64_t pkts_filtered = 0;
-  std::uint64_t pkts_invalid = 0;
-  std::uint64_t pkts_cutoff = 0;
-  std::uint64_t bytes_cutoff = 0;
-  std::uint64_t pkts_dup = 0;
-  std::uint64_t bytes_dup = 0;
-  std::uint64_t pkts_ppl_dropped = 0;
-  std::uint64_t bytes_ppl_dropped = 0;
-  std::uint64_t pkts_nomem_dropped = 0;
-  std::uint64_t bytes_nomem_dropped = 0;
-  std::uint64_t pkts_norec_dropped = 0;   // stream-record allocation failed
-  std::uint64_t pkts_bad_checksum = 0;    // failed checksum verification
-  std::uint64_t pkts_ignored = 0;         // FIN/RST/pure-ACK of unknown flows
-  std::uint64_t pkts_frag_held = 0;       // IP fragments buffered by defrag
-  std::uint64_t pkts_buffered = 0;        // held by reassembly, not delivered
-  std::uint64_t reasm_alloc_failures = 0; // segments lost to failed buffering
-  std::uint64_t fdir_install_failures = 0;  // NIC rejected a filter install
-  std::uint64_t streams_created = 0;
-  std::uint64_t streams_terminated = 0;
-  std::uint64_t streams_evicted = 0;
-  std::uint64_t events_emitted = 0;
-  std::uint64_t chunks_delivered = 0;  // data events carrying a chunk
-  std::uint64_t fdir_installs = 0;
-  std::uint64_t fdir_reinstalls = 0;
-  std::uint64_t fdir_removals = 0;
-  std::uint64_t streams_rebalanced = 0;
+#define SCAP_STATS_FIELD(name, combine, determinism) \
+  StatCell<StatCombine::combine>::type name =        \
+      StatCell<StatCombine::combine>::kInit;
+#define SCAP_STATS_ARRAY(name, combine, determinism, kernel_size, \
+                         c_capacity)                              \
+  StatCell<StatCombine::combine>::type name[kernel_size] = {};
+#include "kernel/stats_determinism.inc"
 
-  // Sharded-datapath ring admission + watchdog (DESIGN.md §13). Zero on a
-  // single ScapKernel; KernelShards folds the producer-side tallies in.
-  std::uint64_t ring_shed_pkts = 0;    // shed at ring admission (watermarks)
-  std::uint64_t ring_shed_bytes = 0;   // wire bytes of those packets
-  std::uint64_t ring_stall_shed_pkts = 0;   // subset shed for a dead shard
-  std::uint64_t ring_stall_shed_bytes = 0;
-  std::uint64_t ring_occupancy_peak = 0;  // max producer-observed ring depth
-  std::uint64_t worker_stalls = 0;        // watchdog stall declarations
-
-  // Per-reason decode failures (parse-error taxonomy, DESIGN.md §8),
-  // indexed by DecodeError. Sums to pkts_invalid.
-  std::uint64_t parse_errors[kNumDecodeErrors] = {};
-
-  // Final-verdict histogram, indexed by Verdict; incremented exactly once
-  // per packet entering the kernel. The conservation law (paper §3.4, §5;
-  // DESIGN.md §9) is checked against it: pkts_seen == Σ verdicts, and every
-  // per-verdict scalar above must equal its histogram bucket — a counter
-  // bumped without its verdict (or vice versa) is a conservation bug.
-  std::uint64_t verdicts[kNumVerdicts] = {};
-
-  // Live streams (mirrored on read from the flow table).
-  std::uint64_t streams_active = 0;
-
-  // Record-pool occupancy (filled on read from the flow table's slab pool).
-  std::uint64_t pool_capacity = 0;   // records across all slabs
-  std::uint64_t pool_free = 0;       // records on the freelist
-  std::uint64_t pool_slabs = 0;
-  std::uint64_t pool_recycled = 0;   // creates served by a recycled record
-
-  // Adaptive overload controller (mirrored on read from Ppl).
-  std::int64_t ppl_effective_cutoff = -1;  // -1 = no cutoff active
-  std::uint64_t ppl_overload_active = 0;   // 0/1: inside the overload state
-  std::uint64_t ppl_overload_entries = 0;
-  std::uint64_t ppl_overload_exits = 0;
-  std::uint64_t ppl_tightenings = 0;
-  std::uint64_t ppl_relaxations = 0;
+  /// Fold another shard's snapshot into this one, row by row with each
+  /// row's combine rule. Every conservation law over the counters is
+  /// linear, so the merge satisfies check_conservation whenever each
+  /// addend does.
+  void merge(const KernelStats& other);
 
   /// Verify the counter-conservation laws over this snapshot: every packet
   /// that entered the kernel landed in exactly one verdict bucket, each

@@ -36,74 +36,6 @@ KernelConfig shard_config(const KernelConfig& base, int num_shards) {
   return c;
 }
 
-/// Shard-sum of KernelStats. Every conservation law over these counters is
-/// linear, so the sum satisfies check_conservation whenever each addend
-/// does. The two non-counter PPL fields combine instead: the aggregate
-/// cutoff is the tightest active shard cutoff, and the aggregate is
-/// overloaded when any shard is.
-void accumulate(KernelStats& into, const KernelStats& s) {
-  into.pkts_seen += s.pkts_seen;
-  into.bytes_seen += s.bytes_seen;
-  into.pkts_stored += s.pkts_stored;
-  into.bytes_stored += s.bytes_stored;
-  into.pkts_control += s.pkts_control;
-  into.pkts_filtered += s.pkts_filtered;
-  into.pkts_invalid += s.pkts_invalid;
-  into.pkts_cutoff += s.pkts_cutoff;
-  into.bytes_cutoff += s.bytes_cutoff;
-  into.pkts_dup += s.pkts_dup;
-  into.bytes_dup += s.bytes_dup;
-  into.pkts_ppl_dropped += s.pkts_ppl_dropped;
-  into.bytes_ppl_dropped += s.bytes_ppl_dropped;
-  into.pkts_nomem_dropped += s.pkts_nomem_dropped;
-  into.bytes_nomem_dropped += s.bytes_nomem_dropped;
-  into.pkts_norec_dropped += s.pkts_norec_dropped;
-  into.pkts_bad_checksum += s.pkts_bad_checksum;
-  into.pkts_ignored += s.pkts_ignored;
-  into.pkts_frag_held += s.pkts_frag_held;
-  into.pkts_buffered += s.pkts_buffered;
-  into.reasm_alloc_failures += s.reasm_alloc_failures;
-  into.fdir_install_failures += s.fdir_install_failures;
-  into.streams_created += s.streams_created;
-  into.streams_terminated += s.streams_terminated;
-  into.streams_evicted += s.streams_evicted;
-  into.events_emitted += s.events_emitted;
-  into.chunks_delivered += s.chunks_delivered;
-  into.fdir_installs += s.fdir_installs;
-  into.fdir_reinstalls += s.fdir_reinstalls;
-  into.fdir_removals += s.fdir_removals;
-  into.streams_rebalanced += s.streams_rebalanced;
-  for (std::size_t i = 0; i < kNumDecodeErrors; ++i) {
-    into.parse_errors[i] += s.parse_errors[i];
-  }
-  for (std::size_t i = 0; i < kNumVerdicts; ++i) {
-    into.verdicts[i] += s.verdicts[i];
-  }
-  into.streams_active += s.streams_active;
-  into.pool_capacity += s.pool_capacity;
-  into.pool_free += s.pool_free;
-  into.pool_slabs += s.pool_slabs;
-  into.pool_recycled += s.pool_recycled;
-  into.ppl_overload_entries += s.ppl_overload_entries;
-  into.ppl_overload_exits += s.ppl_overload_exits;
-  into.ppl_tightenings += s.ppl_tightenings;
-  into.ppl_relaxations += s.ppl_relaxations;
-  into.ring_shed_pkts += s.ring_shed_pkts;
-  into.ring_shed_bytes += s.ring_shed_bytes;
-  into.ring_stall_shed_pkts += s.ring_stall_shed_pkts;
-  into.ring_stall_shed_bytes += s.ring_stall_shed_bytes;
-  into.worker_stalls += s.worker_stalls;
-  if (s.ring_occupancy_peak > into.ring_occupancy_peak) {
-    into.ring_occupancy_peak = s.ring_occupancy_peak;
-  }
-  if (s.ppl_overload_active != 0) into.ppl_overload_active = 1;
-  if (s.ppl_effective_cutoff >= 0 &&
-      (into.ppl_effective_cutoff < 0 ||
-       s.ppl_effective_cutoff < into.ppl_effective_cutoff)) {
-    into.ppl_effective_cutoff = s.ppl_effective_cutoff;
-  }
-}
-
 }  // namespace
 
 KernelShards::Shard::Shard(const KernelConfig& cfg, std::size_t ring_capacity)
@@ -646,7 +578,7 @@ KernelStats KernelShards::stats() const {
   KernelStats total;
   for (const auto& sp : shards_) {
     base::MutexLock lock(sp->snap_mu);
-    accumulate(total, sp->snapshot);
+    total.merge(sp->snapshot);
   }
   fold_producer_counters(total);
   return total;
@@ -677,7 +609,7 @@ std::string KernelShards::check_invariants() const {
     if (!err.empty()) {
       return "shard " + std::to_string(i) + ": " + err;
     }
-    accumulate(total, s.kernel.stats());
+    total.merge(s.kernel.stats());
     // Per-shard ring conservation: the packets this kernel has seen are
     // exactly the ones its consumer retired (both read under s.mu, so the
     // pair is batch-consistent), and the consumer can never be ahead of

@@ -205,6 +205,13 @@ class KernelShards {
     return watchdog_[idx(shard)].degraded;
   }
 
+  /// Items submitted to this shard that its worker has not retired yet —
+  /// what the watchdog counts as outstanding.
+  std::uint64_t backlog(int shard) const SCAP_REQUIRES(producer_) {
+    const Shard& s = *shards_[idx(shard)];
+    return pushed_[idx(shard)] - s.processed.load(std::memory_order_acquire);
+  }
+
   // --- aggregate views ----------------------------------------------------
   /// Shard-summed KernelStats, built from the per-batch snapshots (never
   /// blocks on a worker; safe from event handlers). Counters and

@@ -1,12 +1,14 @@
-// Runtime/constexpr views over the KernelStats determinism registry
-// (stats_determinism.inc, DESIGN.md §15). Callers that hold a field or
-// histogram *name* — chaos_run's reproducibility report, test harnesses —
-// look its class up here instead of maintaining their own exclusion lists.
+// Types behind the KernelStats counter table (stats_determinism.inc,
+// DESIGN.md §9, §15): how a row combines across shards, which C++ type its
+// cell has, and how its value relates to the input trace.
 #pragma once
 
+#include <cstdint>
 #include <string_view>
 
 namespace scap::kernel {
+
+struct KernelStats;
 
 enum class StatDeterminism {
   kDeterministic,        // pure function of the input trace + config
@@ -14,17 +16,44 @@ enum class StatDeterminism {
   kSchedulingDependent,  // thread-interleaving dependent at fixed config
 };
 
-/// Determinism class of a KernelStats field (scalar or array) by name.
-/// Unknown names read as deterministic: a new field that never reaches the
-/// registry is caught by the scap_taint.py stats-registry gate, not here.
-constexpr StatDeterminism stats_field_class(std::string_view name) {
-#define SCAP_STATS_FIELD(field, determinism) \
-  if (name == #field) return StatDeterminism::determinism;
-#define SCAP_STATS_ARRAY(field, determinism) \
-  if (name == #field) return StatDeterminism::determinism;
-#include "kernel/stats_determinism.inc"
-  return StatDeterminism::kDeterministic;
+/// How KernelStats::merge() folds one shard's cell into the aggregate.
+enum class StatCombine {
+  kSum,        // counters: add
+  kMax,        // peaks: keep the larger
+  kOr,         // 0/1 flags: set when either side is set
+  kMinActive,  // cutoffs: tightest value >= 0; -1 means none active
+};
+
+/// Cell type and initial value of a row with combine rule C.
+template <StatCombine C>
+struct StatCell {
+  using type = std::uint64_t;
+  static constexpr type kInit = 0;
+};
+template <>
+struct StatCell<StatCombine::kMinActive> {
+  using type = std::int64_t;
+  static constexpr type kInit = -1;
+};
+
+template <StatCombine C, typename T>
+constexpr void combine_cell(T& into, T v) {
+  if constexpr (C == StatCombine::kSum) {
+    into += v;
+  } else if constexpr (C == StatCombine::kMax) {
+    if (v > into) into = v;
+  } else if constexpr (C == StatCombine::kOr) {
+    if (v != 0) into = 1;
+  } else {
+    if (v >= 0 && (into < 0 || v < into)) into = v;
+  }
 }
+
+/// Copy of `s` with every field the table classifies as kShardGeometry or
+/// kSchedulingDependent zeroed: what remains is the part of a snapshot that
+/// must be bit-identical across worker counts and thread schedules.
+/// Defined beside KernelStats::merge() in module.cpp.
+KernelStats normalized(KernelStats s);
 
 /// Determinism class of a trace::MetricsRegistry histogram by name.
 constexpr StatDeterminism metric_hist_class(std::string_view name) {

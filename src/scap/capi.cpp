@@ -1,6 +1,8 @@
 #include "scap/scap.h"
 
+#include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "scap/capture.hpp"
@@ -246,72 +248,23 @@ int scap_get_stats(scap_t* sc, scap_stats_t* stats) {
   if (sc == nullptr || stats == nullptr) return -1;
   const scap::CaptureStats s = sc->stats();
   *stats = {};
-  stats->pkts_seen = s.kernel.pkts_seen + s.nic_dropped_by_filter;
-  stats->bytes_seen = s.kernel.bytes_seen;
-  stats->pkts_stored = s.kernel.pkts_stored;
-  stats->bytes_stored = s.kernel.bytes_stored;
-  stats->pkts_dropped =
-      s.kernel.pkts_ppl_dropped + s.kernel.pkts_nomem_dropped;
-  stats->bytes_dropped =
-      s.kernel.bytes_ppl_dropped + s.kernel.bytes_nomem_dropped;
-  stats->pkts_discarded =
-      s.kernel.pkts_cutoff + s.kernel.pkts_dup + s.kernel.pkts_filtered;
-  stats->pkts_filtered_nic = s.nic_dropped_by_filter;
-  stats->streams_created = s.kernel.streams_created;
-  stats->streams_terminated = s.kernel.streams_terminated;
-  stats->streams_evicted = s.kernel.streams_evicted;
-  stats->pkts_parse_error = s.kernel.pkts_invalid;
+  const scap::kernel::KernelStats& k = s.kernel;
 
-  // Full kernel counter mirror (conservation law: see scap.h). scap_lint
-  // cross-checks that every KernelStats counter appears here.
-  stats->pkts_control = s.kernel.pkts_control;
-  stats->pkts_ignored = s.kernel.pkts_ignored;
-  stats->pkts_frag_held = s.kernel.pkts_frag_held;
-  stats->pkts_buffered = s.kernel.pkts_buffered;
-  stats->pkts_filtered = s.kernel.pkts_filtered;
-  stats->pkts_cutoff = s.kernel.pkts_cutoff;
-  stats->bytes_cutoff = s.kernel.bytes_cutoff;
-  stats->pkts_dup = s.kernel.pkts_dup;
-  stats->bytes_dup = s.kernel.bytes_dup;
-  stats->pkts_ppl_dropped = s.kernel.pkts_ppl_dropped;
-  stats->bytes_ppl_dropped = s.kernel.bytes_ppl_dropped;
-  stats->pkts_nomem_dropped = s.kernel.pkts_nomem_dropped;
-  stats->bytes_nomem_dropped = s.kernel.bytes_nomem_dropped;
-  stats->pkts_norec_dropped = s.kernel.pkts_norec_dropped;
-  stats->pkts_bad_checksum = s.kernel.pkts_bad_checksum;
-  stats->reasm_alloc_failures = s.kernel.reasm_alloc_failures;
-  stats->fdir_installs = s.kernel.fdir_installs;
-  stats->fdir_reinstalls = s.kernel.fdir_reinstalls;
-  stats->fdir_removals = s.kernel.fdir_removals;
-  stats->fdir_install_failures = s.kernel.fdir_install_failures;
-  stats->streams_rebalanced = s.kernel.streams_rebalanced;
-  stats->ring_shed_pkts = s.kernel.ring_shed_pkts;
-  stats->ring_shed_bytes = s.kernel.ring_shed_bytes;
-  stats->ring_stall_shed_pkts = s.kernel.ring_stall_shed_pkts;
-  stats->ring_stall_shed_bytes = s.kernel.ring_stall_shed_bytes;
-  stats->ring_occupancy_peak = s.kernel.ring_occupancy_peak;
-  stats->worker_stalls = s.kernel.worker_stalls;
-  stats->streams_active = s.kernel.streams_active;
-  stats->events_emitted = s.kernel.events_emitted;
-  stats->chunks_delivered = s.kernel.chunks_delivered;
-  stats->pool_capacity = s.kernel.pool_capacity;
-  stats->pool_free = s.kernel.pool_free;
-  stats->pool_slabs = s.kernel.pool_slabs;
-  stats->pool_recycled = s.kernel.pool_recycled;
-  stats->ppl_effective_cutoff = s.kernel.ppl_effective_cutoff;
-  stats->ppl_overload_active = s.kernel.ppl_overload_active;
-  stats->ppl_overload_entries = s.kernel.ppl_overload_entries;
-  stats->ppl_overload_exits = s.kernel.ppl_overload_exits;
-  stats->ppl_tightenings = s.kernel.ppl_tightenings;
-  stats->ppl_relaxations = s.kernel.ppl_relaxations;
-  for (std::size_t i = 0;
-       i < scap::kNumDecodeErrors && i < SCAP_MAX_PARSE_ERRORS; ++i) {
-    stats->parse_errors[i] = s.kernel.parse_errors[i];
-  }
-  for (std::size_t i = 0;
-       i < scap::kernel::kNumVerdicts && i < SCAP_MAX_VERDICTS; ++i) {
-    stats->verdicts[i] = s.kernel.verdicts[i];
-  }
+  // Kernel counter mirror, one assignment per counter-table row.
+#define SCAP_STATS_FIELD(name, combine, determinism) stats->name = k.name;
+#define SCAP_STATS_ARRAY(name, combine, determinism, kernel_size, c_capacity) \
+  static_assert(kernel_size <= c_capacity,                                    \
+                #name " outgrew its scap_stats_t capacity");                  \
+  std::copy(std::begin(k.name), std::end(k.name), stats->name);
+#include "kernel/stats_determinism.inc"
+
+  // The paper's aggregates (Table 1).
+  stats->pkts_seen += s.nic_dropped_by_filter;
+  stats->pkts_dropped = k.pkts_ppl_dropped + k.pkts_nomem_dropped;
+  stats->bytes_dropped = k.bytes_ppl_dropped + k.bytes_nomem_dropped;
+  stats->pkts_discarded = k.pkts_cutoff + k.pkts_dup + k.pkts_filtered;
+  stats->pkts_filtered_nic = s.nic_dropped_by_filter;
+  stats->pkts_parse_error = k.pkts_invalid;
 
   // Trace metrics mirror. The C ABI histogram is a fixed array, so the
   // bucket counts must line up exactly with the C++ histogram.

@@ -19,6 +19,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "kernel/stats_determinism.hpp"
+
 namespace scap {
 class Capture;
 class StreamView;
@@ -88,7 +90,8 @@ struct scap_pkthdr {
 
 // Fixed-size mirrors of the kernel's per-reason arrays. Sized generously so
 // adding a decode-error reason or verdict does not break the C ABI; unused
-// tail entries are zero.
+// tail entries are zero. Each is the c_capacity of its counter-table row,
+// and capi.cpp static_asserts that the kernel array fits.
 constexpr std::size_t SCAP_MAX_PARSE_ERRORS = 16;
 constexpr std::size_t SCAP_MAX_VERDICTS = 16;
 
@@ -109,77 +112,27 @@ struct scap_hist_t {
 
 /// Aggregate statistics (scap_get_stats).
 ///
-/// Every KernelStats counter is mirrored here — the counter-conservation
-/// law (DESIGN.md §9) demands that a packet entering the kernel is visible
-/// in exactly one bucket of this struct, and tools/scap_lint.py fails the
-/// build if a kernel counter is added without its mirror.
+/// The first block holds the paper's aggregates (Table 1). The second
+/// mirrors every KernelStats counter under its own name, generated from the
+/// counter table (kernel/stats_determinism.inc, which documents each row)
+/// — the counter-conservation law (DESIGN.md §9) demands that a packet
+/// entering the kernel is visible in exactly one bucket of this struct.
+/// One mirrored field differs from its kernel counter: pkts_seen also
+/// counts the packets FDIR dropped at the NIC (pkts_filtered_nic).
 struct scap_stats_t {
-  std::uint64_t pkts_seen;
-  std::uint64_t bytes_seen;
-  std::uint64_t pkts_stored;
-  std::uint64_t bytes_stored;
   std::uint64_t pkts_dropped;      // PPL + memory exhaustion
   std::uint64_t bytes_dropped;
   std::uint64_t pkts_discarded;    // cutoff + duplicates + filter
   std::uint64_t pkts_filtered_nic; // dropped at the NIC by FDIR (subzero)
-  std::uint64_t streams_created;
-  std::uint64_t streams_terminated;
-  std::uint64_t streams_evicted;
-  std::uint64_t pkts_parse_error;  // undecodable input (parse-error taxonomy)
+  std::uint64_t pkts_parse_error;  // undecodable input (== pkts_invalid)
 
-  // --- full kernel counter mirror -------------------------------------------
-  std::uint64_t pkts_control;      // TCP lifecycle / zero-payload datagrams
-  std::uint64_t pkts_ignored;      // FIN/RST/pure-ACK of unknown flows
-  std::uint64_t pkts_frag_held;    // IP fragments buffered by defrag
-  std::uint64_t pkts_buffered;     // held out-of-order by reassembly
-  std::uint64_t pkts_filtered;     // rejected by the socket BPF filter
-  std::uint64_t pkts_cutoff;
-  std::uint64_t bytes_cutoff;
-  std::uint64_t pkts_dup;
-  std::uint64_t bytes_dup;
-  std::uint64_t pkts_ppl_dropped;
-  std::uint64_t bytes_ppl_dropped;
-  std::uint64_t pkts_nomem_dropped;
-  std::uint64_t bytes_nomem_dropped;
-  std::uint64_t pkts_norec_dropped;   // stream-record allocation failed
-  std::uint64_t pkts_bad_checksum;
-  std::uint64_t reasm_alloc_failures;
-  std::uint64_t fdir_installs;
-  std::uint64_t fdir_reinstalls;
-  std::uint64_t fdir_removals;
-  std::uint64_t fdir_install_failures;
-  std::uint64_t streams_rebalanced;
-  // Sharded datapath ring admission + worker watchdog (DESIGN.md §13); zero
-  // in inline mode. ring_stall_shed_* is the subset of ring_shed_* caused
-  // by a stalled (degraded) shard rather than watermark overload.
-  std::uint64_t ring_shed_pkts;
-  std::uint64_t ring_shed_bytes;
-  std::uint64_t ring_stall_shed_pkts;
-  std::uint64_t ring_stall_shed_bytes;
-  std::uint64_t ring_occupancy_peak;
-  std::uint64_t worker_stalls;
-  std::uint64_t streams_active;
-  std::uint64_t events_emitted;
-  std::uint64_t chunks_delivered;  // data events carrying a chunk
-
-  // Record-pool occupancy.
-  std::uint64_t pool_capacity;
-  std::uint64_t pool_free;
-  std::uint64_t pool_slabs;
-  std::uint64_t pool_recycled;
-
-  // Adaptive overload controller.
-  std::int64_t ppl_effective_cutoff;   // -1 = no cutoff active
-  std::uint64_t ppl_overload_active;   // 0/1
-  std::uint64_t ppl_overload_entries;
-  std::uint64_t ppl_overload_exits;
-  std::uint64_t ppl_tightenings;
-  std::uint64_t ppl_relaxations;
-
-  // Per-reason decode failures (sums to pkts_parse_error) and the
-  // per-verdict packet histogram (sums to pkts_seen).
-  std::uint64_t parse_errors[SCAP_MAX_PARSE_ERRORS];
-  std::uint64_t verdicts[SCAP_MAX_VERDICTS];
+  // --- kernel counter mirror ------------------------------------------------
+#define SCAP_STATS_FIELD(name, combine, determinism) \
+  scap::kernel::StatCell<scap::kernel::StatCombine::combine>::type name;
+#define SCAP_STATS_ARRAY(name, combine, determinism, kernel_size, c_capacity) \
+  scap::kernel::StatCell<scap::kernel::StatCombine::combine>::type            \
+      name[c_capacity];
+#include "kernel/stats_determinism.inc"
 
   // --- tracing (zero unless scap_enable_trace was called) -------------------
   std::uint64_t trace_events_recorded;

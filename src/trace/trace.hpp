@@ -26,7 +26,7 @@ namespace scap::trace {
 
 // Every event type must have an emit site in src/ and a pretty-printer case
 // in src/trace/export.cpp — tools/scap_lint.py (rule trace-coverage) fails
-// the lint suite otherwise, the same pattern as the counter-mirroring rule.
+// the lint suite otherwise.
 enum class TraceEventType : std::uint8_t {
   kPacketVerdict,     // a16 = Verdict, a32 = wire bytes, a64 = 0
   kStreamCreated,     // a16 = core, a32 = priority

@@ -10,6 +10,7 @@ namespace scap::kernel {
 
 struct KernelStats {
   uint64_t pkts_seen = 0;
+  uint64_t verdicts[4] = {};
 };
 
 inline long now_secs() {
@@ -22,6 +23,7 @@ inline long stamp() {
 
 inline void publish(KernelStats& k) {
   k.pkts_seen += static_cast<uint64_t>(stamp());  // expect-chain: taint-wallclock: src:time() -> kernel::now_secs -> kernel::stamp -> kernel::publish -> sink:KernelStats.pkts_seen
+  ++k.verdicts[stamp() & 3];  // expect-chain: taint-wallclock: src:time() -> kernel::now_secs -> kernel::stamp -> kernel::publish -> sink:KernelStats.verdicts
 }
 
 }  // namespace scap::kernel

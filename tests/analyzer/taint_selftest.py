@@ -21,8 +21,10 @@ against the union of all expectations as an exact set of
 (file, line, rule, chain) tuples — a missing finding, a spurious finding,
 a wrong line, a wrong rule, or a wrong *chain* all fail. Structural
 invariants on top: every *_bad fixture must yield at least one finding
-(in its .cpp or its sibling .inc) and every *_good fixture must yield
-none in either.
+(in its .cpp or its sibling .inc), every *_good fixture must yield
+none in either, and every fixture that declares struct KernelStats must
+have a sibling .inc (its writes are sinks only through the table's
+rows).
 
 The text frontend has no external dependencies, so it is always
 exercised. When libclang is available the clang frontend runs too and
@@ -136,6 +138,25 @@ def validate_expectations(expected, scap_rules):
     return ok
 
 
+def check_counter_tables(fixtures_dir):
+    """A fixture's KernelStats writes are sinks only through the rows of
+    its sibling .inc, so a fixture that declares the struct without one
+    would pass without testing anything."""
+    ok = True
+    for name in sorted(os.listdir(fixtures_dir)):
+        if not name.endswith(".cpp"):
+            continue
+        path = os.path.join(fixtures_dir, name)
+        with open(path, encoding="utf-8") as f:
+            declares = re.search(r"\bstruct\s+KernelStats\s*\{", f.read())
+        if declares and not os.path.isfile(
+                os.path.splitext(path)[0] + ".inc"):
+            print(f"HARNESS  {name}: declares struct KernelStats but has "
+                  "no sibling .inc counter table")
+            ok = False
+    return ok
+
+
 def main():
     here = os.path.dirname(os.path.abspath(__file__))
     root = os.path.dirname(os.path.dirname(here))
@@ -149,7 +170,8 @@ def main():
         print("taint_selftest: no expectations found in fixtures "
               "(broken harness)", file=sys.stderr)
         return 1
-    if not validate_expectations(expected, scap_rules):
+    if not (validate_expectations(expected, scap_rules) and
+            check_counter_tables(fixtures)):
         return 1
 
     ok = True

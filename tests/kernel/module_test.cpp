@@ -532,5 +532,48 @@ TEST(ScapKernelTest, TerminateAllFlushesEverything) {
   EXPECT_EQ(k.allocator().used(), 0u);
 }
 
+
+// Shard aggregation folds each row with its combine rule: counters and
+// arrays add, the ring-depth peak keeps the max, the overload flag is set
+// when any shard is overloaded, and the effective cutoff is the tightest
+// one any shard has active (-1 = none active).
+TEST(KernelStatsMerge, EachRowCombinesByItsRule) {
+  KernelStats a;
+  a.pkts_seen = 3;
+  a.verdicts[1] = 2;
+  a.ring_occupancy_peak = 9;
+  a.ppl_overload_active = 0;
+  KernelStats b;
+  b.pkts_seen = 4;
+  b.verdicts[1] = 5;
+  b.ring_occupancy_peak = 7;
+  b.ppl_overload_active = 1;
+  b.ppl_effective_cutoff = 4096;
+
+  KernelStats total;
+  EXPECT_EQ(total.ppl_effective_cutoff, -1);
+  total.merge(a);
+  EXPECT_EQ(total.ppl_effective_cutoff, -1);  // no shard has a cutoff
+  total.merge(b);
+  EXPECT_EQ(total.pkts_seen, 7u);
+  EXPECT_EQ(total.verdicts[1], 7u);
+  EXPECT_EQ(total.ring_occupancy_peak, 9u);
+  EXPECT_EQ(total.ppl_overload_active, 1u);
+  EXPECT_EQ(total.ppl_effective_cutoff, 4096);
+
+  KernelStats tighter;
+  tighter.ppl_effective_cutoff = 1024;
+  total.merge(tighter);
+  EXPECT_EQ(total.ppl_effective_cutoff, 1024);
+  KernelStats looser;
+  looser.ppl_effective_cutoff = 8192;
+  total.merge(looser);
+  EXPECT_EQ(total.ppl_effective_cutoff, 1024);
+  total.merge(KernelStats{});  // an idle shard changes nothing
+  EXPECT_EQ(total.ppl_effective_cutoff, 1024);
+  EXPECT_EQ(total.ppl_overload_active, 1u);
+  EXPECT_EQ(total.ring_occupancy_peak, 9u);
+}
+
 }  // namespace
 }  // namespace scap::kernel

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "packet/pcap.hpp"
@@ -90,6 +91,61 @@ TEST_F(CApiTest, PaperUseCaseFlowStatsExport) {
   ASSERT_EQ(scap_get_stats(sc, &stats), 0);
   EXPECT_EQ(stats.pkts_seen, 3u);
   EXPECT_GE(stats.streams_created, 1u);
+  close_checked(sc);
+}
+
+// scap_get_stats mirrors every kernel counter under its own name and
+// derives the paper's aggregates from them. The capture below reaches the
+// three paths the aggregates single out: a cutoff discard in the kernel,
+// the FDIR filter that cutoff installs dropping later packets at the NIC
+// (subzero copy), and an undecodable frame.
+TEST_F(CApiTest, StatsMirrorKernelCountersAndDeriveAggregates) {
+  scap_t* sc = scap_create("sim0", SCAP_DEFAULT, SCAP_TCP_FAST, 0);
+  ASSERT_NE(sc, nullptr);
+  sc->set_use_fdir(true);
+  ASSERT_EQ(scap_set_cutoff(sc, 4), 0);
+  ASSERT_EQ(scap_start_capture(sc), 0);
+
+  SessionBuilder s;
+  Timestamp t(0);
+  scap_inject(sc, s.syn(t));
+  // Lands 100 bytes into the stream: discarded by the kernel's cutoff,
+  // which installs the FDIR filter that drops the next two at the NIC.
+  scap_inject(sc, s.data_at(1101, "past the cutoff", t));
+  scap_inject(sc, s.data("0123456789", t));
+  scap_inject(sc, s.data("0123456789", t));
+  const std::uint8_t junk[] = {0xde, 0xad, 0xbe, 0xef};
+  scap_inject(sc, Packet::from_bytes(junk, t));
+  scap_flush(sc);
+
+  scap_stats_t stats{};
+  ASSERT_EQ(scap_get_stats(sc, &stats), 0);
+  const scap::CaptureStats cs = sc->stats();
+  const scap::kernel::KernelStats& k = cs.kernel;
+  ASSERT_GT(k.pkts_cutoff, 0u);
+  ASSERT_GT(cs.nic_dropped_by_filter, 0u);
+  ASSERT_GT(k.pkts_invalid, 0u);
+
+  EXPECT_EQ(stats.pkts_seen, k.pkts_seen + cs.nic_dropped_by_filter);
+  EXPECT_EQ(stats.pkts_dropped, k.pkts_ppl_dropped + k.pkts_nomem_dropped);
+  EXPECT_EQ(stats.bytes_dropped,
+            k.bytes_ppl_dropped + k.bytes_nomem_dropped);
+  EXPECT_EQ(stats.pkts_discarded,
+            k.pkts_cutoff + k.pkts_dup + k.pkts_filtered);
+  EXPECT_EQ(stats.pkts_filtered_nic, cs.nic_dropped_by_filter);
+  EXPECT_EQ(stats.pkts_parse_error, k.pkts_invalid);
+
+  // pkts_seen is the one mirrored name that also counts NIC drops.
+#define SCAP_STATS_FIELD(name, combine, determinism) \
+  if (std::string_view(#name) != "pkts_seen") {      \
+    EXPECT_EQ(stats.name, k.name) << #name;          \
+  }
+#define SCAP_STATS_ARRAY(name, combine, determinism, kernel_size, c_capacity) \
+  for (std::size_t i = 0; i < c_capacity; ++i) {                              \
+    EXPECT_EQ(stats.name[i], i < kernel_size ? k.name[i] : 0u)                \
+        << #name "[" << i << "]";                                             \
+  }
+#include "kernel/stats_determinism.inc"
   close_checked(sc);
 }
 

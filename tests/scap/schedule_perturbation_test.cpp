@@ -22,9 +22,7 @@
 // on the undisturbed-admission path.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -39,24 +37,6 @@
 
 namespace scap {
 namespace {
-
-/// Zero every field the determinism registry classifies as shard-geometry
-/// or scheduling-dependent (stats_determinism.inc, DESIGN.md §15).
-kernel::KernelStats normalized(kernel::KernelStats s) {
-  using kernel::StatDeterminism;
-#define SCAP_STATS_FIELD(field, determinism)          \
-  if constexpr (StatDeterminism::determinism !=       \
-                StatDeterminism::kDeterministic) {    \
-    s.field = 0;                                      \
-  }
-#define SCAP_STATS_ARRAY(field, determinism)            \
-  if constexpr (StatDeterminism::determinism !=         \
-                StatDeterminism::kDeterministic) {      \
-    std::fill(std::begin(s.field), std::end(s.field), 0); \
-  }
-#include "kernel/stats_determinism.inc"
-  return s;
-}
 
 struct Replay {
   std::vector<kernel::KernelStats> snaps;  // normalized, one per tick + final
@@ -93,16 +73,16 @@ Replay replay(const std::vector<Packet>& pkts,
     while (p.timestamp() >= next) {
       shards.tick_all(next);
       shards.flush();
-      out.snaps.push_back(normalized(shards.stats()));
+      out.snaps.push_back(kernel::normalized(shards.stats()));
       next = next + tick;
     }
     shards.submit(p);
     last = p.timestamp();
   }
   shards.flush();
-  out.snaps.push_back(normalized(shards.stats()));
+  out.snaps.push_back(kernel::normalized(shards.stats()));
   shards.stop(last);
-  out.snaps.push_back(normalized(shards.stats()));
+  out.snaps.push_back(kernel::normalized(shards.stats()));
 
   // Quiescent after stop(): serialize each shard's timeline. The
   // histogram block is deliberately not serialized — queue_occupancy is

@@ -15,9 +15,7 @@
 // the property chaos_run --check-invariants relies on.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,28 +28,6 @@
 
 namespace scap {
 namespace {
-
-/// Zero every field the determinism registry (stats_determinism.inc,
-/// DESIGN.md §15) classifies as shard-geometry (slab growth is an
-/// allocation pattern, not part of the aggregate contract) or
-/// scheduling-dependent (occupancy peaks measure consumer lag). Deriving
-/// the set from the registry means a new counter must be classified there
-/// before this suite will accept it.
-kernel::KernelStats normalized(kernel::KernelStats s) {
-  using kernel::StatDeterminism;
-#define SCAP_STATS_FIELD(field, determinism)          \
-  if constexpr (StatDeterminism::determinism !=       \
-                StatDeterminism::kDeterministic) {    \
-    s.field = 0;                                      \
-  }
-#define SCAP_STATS_ARRAY(field, determinism)            \
-  if constexpr (StatDeterminism::determinism !=         \
-                StatDeterminism::kDeterministic) {      \
-    std::fill(std::begin(s.field), std::end(s.field), 0); \
-  }
-#include "kernel/stats_determinism.inc"
-  return s;
-}
 
 std::vector<Packet> adversary_packets(std::uint64_t seed, std::uint64_t n) {
   faultinject::AdversaryConfig cfg;
@@ -93,7 +69,7 @@ std::vector<kernel::KernelStats> replay_sharded(
       shards.flush();
       if (nic.has_value()) shards.service_fdir(*nic, next);
       on_tick(shards);
-      snaps.push_back(normalized(shards.stats()));
+      snaps.push_back(kernel::normalized(shards.stats()));
       next = next + tick;
     }
     shards.submit(p);
@@ -101,9 +77,9 @@ std::vector<kernel::KernelStats> replay_sharded(
   }
   shards.flush();
   on_tick(shards);
-  snaps.push_back(normalized(shards.stats()));
+  snaps.push_back(kernel::normalized(shards.stats()));
   shards.stop(last);
-  snaps.push_back(normalized(shards.stats()));
+  snaps.push_back(kernel::normalized(shards.stats()));
   return snaps;
 }
 

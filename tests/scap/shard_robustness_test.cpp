@@ -5,8 +5,10 @@
 // shard targeting and a manual tick grid, so every verdict is deterministic.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/mutex.hpp"
@@ -69,6 +71,23 @@ TEST(ShardWatchdog, DegradeIsolatesStalledShardOthersKeepProcessing) {
   shards.tick_all(t0);  // seeds every shard's heartbeat baseline
   EXPECT_EQ(shards.check_invariants(), "");
 
+  // Only the parked shard may look stalled. A live worker that has not
+  // been scheduled yet would too, once the deadline has passed and the
+  // short grace runs out, so before every tick past the deadline (and
+  // before flush(), which grants the same grace) the live shards retire
+  // everything they were given. The wait is capped: a worker that missed
+  // its wakeup is woken by the grace itself.
+  const auto settle_live_shards = [&] {
+    const auto cap =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (int shard : {0, 2, 3}) {
+      while (shards.backlog(shard) != 0 &&
+             std::chrono::steady_clock::now() < cap) {
+        std::this_thread::yield();
+      }
+    }
+  };
+
   // Round 1: 40 packets per shard, all inside the watchdog deadline.
   Timestamp ts = t0;
   for (int i = 0; i < 40; ++i) {
@@ -89,6 +108,7 @@ TEST(ShardWatchdog, DegradeIsolatesStalledShardOthersKeepProcessing) {
   // Past the deadline with a flat heartbeat and outstanding items: the
   // bounded grace spin cannot observe progress (the worker is parked), so
   // shard 1 must be degraded — and only shard 1.
+  settle_live_shards();
   shards.tick_all(t0 + Duration::from_msec(8));
   EXPECT_EQ(shards.check_invariants(), "");
   EXPECT_TRUE(shards.degraded(1));
@@ -107,8 +127,10 @@ TEST(ShardWatchdog, DegradeIsolatesStalledShardOthersKeepProcessing) {
           0x0a000001 + static_cast<std::uint32_t>(shard)));
     }
   }
+  settle_live_shards();
   shards.tick_all(t0 + Duration::from_msec(12));
   EXPECT_EQ(shards.check_invariants(), "");
+  settle_live_shards();
   shards.flush();  // live shards drain; the degraded one is skipped
 
   const KernelStats mid = shards.stats();

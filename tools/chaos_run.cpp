@@ -43,6 +43,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <numeric>
 #include <optional>
 #include <string>
 
@@ -65,6 +67,7 @@ using scap::faultinject::FaultScope;
 using scap::faultinject::InjectionPlan;
 using scap::faultinject::kNumFaultPoints;
 using scap::kernel::KernelStats;
+using scap::kernel::StatDeterminism;
 
 struct Options {
   std::uint64_t seed = 1;
@@ -78,10 +81,27 @@ struct Options {
   std::string trace_out;  // write the binary trace here (empty = don't)
 };
 
-void append(std::string& out, const char* key, std::uint64_t value) {
-  char line[96];
-  std::snprintf(line, sizeof(line), "%s=%" PRIu64 "\n", key, value);
-  out += line;
+template <typename T>
+void append(std::string& out, const char* key, T value) {
+  out += key;
+  out += '=';
+  out += std::to_string(value);
+  out += '\n';
+}
+
+/// Report key suffix for index `i` of a KernelStats array: the enumerator
+/// name for the two enum-indexed arrays, the plain index otherwise.
+template <auto Array>
+std::string index_name(std::size_t i) {
+  return std::to_string(i);
+}
+template <>
+std::string index_name<&KernelStats::verdicts>(std::size_t i) {
+  return scap::kernel::to_string(static_cast<scap::kernel::Verdict>(i));
+}
+template <>
+std::string index_name<&KernelStats::parse_errors>(std::size_t i) {
+  return scap::to_string(static_cast<scap::DecodeError>(i));
 }
 
 /// Run the adversarial scenario once; returns (report, ok). The report is a
@@ -215,96 +235,27 @@ std::string run_once(const Options& opt, bool& ok) {
   append(report, "seed", opt.seed);
   append(report, "packets", opt.packets);
 
-  // Every KernelStats counter is dumped: a counter missing from this
-  // report is invisible to the reproducibility gate. Which counters are
-  // excluded under --check-reproducible is not decided here: append_stat
-  // consults the determinism registry (kernel/stats_determinism.inc), so
-  // reclassifying a field there is the one and only switch.
-  const auto append_stat = [&](const char* name, std::uint64_t v) {
+  // Every KernelStats counter is dumped, one line per counter-table row
+  // (kernel/stats_determinism.inc; arrays one line per index). Under
+  // --check-reproducible a row's own determinism class decides whether it
+  // is compared: kSchedulingDependent rows are left out.
+  const auto append_stat = [&](const std::string& key, StatDeterminism cls,
+                               auto value) {
     if (opt.check_reproducible &&
-        scap::kernel::stats_field_class(name) ==
-            scap::kernel::StatDeterminism::kSchedulingDependent) {
+        cls == StatDeterminism::kSchedulingDependent) {
       return;
     }
-    append(report, name, v);
+    append(report, key.c_str(), value);
   };
-  append_stat("pkts_seen", k.pkts_seen);
-  append_stat("bytes_seen", k.bytes_seen);
-  append_stat("pkts_stored", k.pkts_stored);
-  append_stat("bytes_stored", k.bytes_stored);
-  append_stat("pkts_control", k.pkts_control);
-  append_stat("pkts_filtered", k.pkts_filtered);
-  append_stat("pkts_ignored", k.pkts_ignored);
-  append_stat("pkts_frag_held", k.pkts_frag_held);
-  append_stat("pkts_buffered", k.pkts_buffered);
-  append_stat("pkts_invalid", k.pkts_invalid);
-  append_stat("pkts_cutoff", k.pkts_cutoff);
-  append_stat("bytes_cutoff", k.bytes_cutoff);
-  append_stat("pkts_dup", k.pkts_dup);
-  append_stat("bytes_dup", k.bytes_dup);
-  append_stat("pkts_ppl_dropped", k.pkts_ppl_dropped);
-  append_stat("bytes_ppl_dropped", k.bytes_ppl_dropped);
-  append_stat("pkts_nomem_dropped", k.pkts_nomem_dropped);
-  append_stat("bytes_nomem_dropped", k.bytes_nomem_dropped);
-  append_stat("pkts_norec_dropped", k.pkts_norec_dropped);
-  append_stat("pkts_bad_checksum", k.pkts_bad_checksum);
-  append_stat("reasm_alloc_failures", k.reasm_alloc_failures);
-  append_stat("fdir_install_failures", k.fdir_install_failures);
-  append_stat("fdir_installs", k.fdir_installs);
-  append_stat("fdir_reinstalls", k.fdir_reinstalls);
-  append_stat("fdir_removals", k.fdir_removals);
-  append_stat("streams_created", k.streams_created);
-  append_stat("streams_terminated", k.streams_terminated);
-  append_stat("streams_evicted", k.streams_evicted);
-  append_stat("streams_rebalanced", k.streams_rebalanced);
-  // Sharded-datapath robustness counters (all zero inline). The occupancy
-  // peak is registry-classified scheduling-dependent, so append_stat keeps
-  // it out of the bit-reproducibility comparison.
-  append_stat("ring_shed_pkts", k.ring_shed_pkts);
-  append_stat("ring_shed_bytes", k.ring_shed_bytes);
-  append_stat("ring_stall_shed_pkts", k.ring_stall_shed_pkts);
-  append_stat("ring_stall_shed_bytes", k.ring_stall_shed_bytes);
-  append_stat("worker_stalls", k.worker_stalls);
-  append_stat("ring_occupancy_peak", k.ring_occupancy_peak);
-  append_stat("streams_active", k.streams_active);
-  append_stat("events_emitted", k.events_emitted);
-  append_stat("chunks_delivered", k.chunks_delivered);
+#define SCAP_STATS_FIELD(name, combine, determinism) \
+  append_stat(#name, StatDeterminism::determinism, k.name);
+#define SCAP_STATS_ARRAY(name, combine, determinism, kernel_size, c_capacity) \
+  for (std::size_t i = 0; i < kernel_size; ++i) {                             \
+    append_stat(#name "." + index_name<&KernelStats::name>(i),                \
+                StatDeterminism::determinism, k.name[i]);                     \
+  }
+#include "kernel/stats_determinism.inc"
   append(report, "nic_dropped_by_filter", stats.nic_dropped_by_filter);
-
-  // Record pool occupancy.
-  append_stat("pool_capacity", k.pool_capacity);
-  append_stat("pool_free", k.pool_free);
-  append_stat("pool_slabs", k.pool_slabs);
-  append_stat("pool_recycled", k.pool_recycled);
-
-  // Final-verdict histogram (sums to pkts_seen — conservation law 1).
-  for (std::size_t i = 0; i < scap::kernel::kNumVerdicts; ++i) {
-    std::string key = "verdict.";
-    key += scap::kernel::to_string(static_cast<scap::kernel::Verdict>(i));
-    append(report, key.c_str(), k.verdicts[i]);
-  }
-
-  // Parse-error taxonomy.
-  std::uint64_t taxonomy_sum = 0;
-  for (std::size_t i = 0; i < scap::kNumDecodeErrors; ++i) {
-    const auto err = static_cast<scap::DecodeError>(i);
-    if (err == scap::DecodeError::kNone) continue;
-    std::string key = "parse_error.";
-    key += scap::to_string(err);
-    append(report, key.c_str(), k.parse_errors[i]);
-    taxonomy_sum += k.parse_errors[i];
-  }
-
-  // Adaptive overload controller.
-  append_stat("ppl_effective_cutoff",
-              static_cast<std::uint64_t>(k.ppl_effective_cutoff < 0
-                                             ? 0
-                                             : k.ppl_effective_cutoff));
-  append_stat("ppl_overload_active", k.ppl_overload_active);
-  append_stat("ppl_overload_entries", k.ppl_overload_entries);
-  append_stat("ppl_overload_exits", k.ppl_overload_exits);
-  append_stat("ppl_tightenings", k.ppl_tightenings);
-  append_stat("ppl_relaxations", k.ppl_relaxations);
 
   // Fault injector: calls seen and failures injected per point.
   for (std::size_t i = 0; i < kNumFaultPoints; ++i) {
@@ -362,7 +313,7 @@ std::string run_once(const Options& opt, bool& ok) {
     // distribution.
     if (opt.workers > 0 && opt.check_reproducible &&
         scap::kernel::metric_hist_class(h.name) ==
-            scap::kernel::StatDeterminism::kSchedulingDependent) {
+            StatDeterminism::kSchedulingDependent) {
       continue;
     }
     for (std::size_t b = 0; b < scap::trace::Log2Histogram::kBuckets; ++b) {
@@ -383,6 +334,8 @@ std::string run_once(const Options& opt, bool& ok) {
   }
 
   // --- invariants ----------------------------------------------------------
+  const std::uint64_t taxonomy_sum = std::accumulate(
+      std::begin(k.parse_errors), std::end(k.parse_errors), std::uint64_t{0});
   if (taxonomy_sum != k.pkts_invalid) {
     std::fprintf(stderr,
                  "INVARIANT VIOLATION: parse-error taxonomy sums to %" PRIu64

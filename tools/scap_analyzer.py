@@ -20,13 +20,6 @@ switch-exhaustive
     enumerators added later, defeating -Wswitch. (Sentinels like
     DecodeError::kCount are enumerators too and must appear.)
 
-counter-mirror
-    Every field of kernel::KernelStats (AST field decls, not regex) must be
-    (a) referenced by kernel code, (b) mirrored in src/scap/capi.cpp
-    (member references in scap_get_stats), and (c) dumped by
-    tools/chaos_run.cpp. A counter added but not mirrored silently
-    vanishes from every report that matters.
-
 mutex-discipline
     No raw std::mutex / std::lock_guard / std::unique_lock /
     std::scoped_lock / std::condition_variable declarations in src/ outside
@@ -189,11 +182,6 @@ class Analyzer:
         self._lines = {}
         self._text = {}
         self.used_waivers = set()    # (rel, waiver line, rule) that fired
-        # counter-mirror state, filled during the walk.
-        self.stats_fields = []       # (name, rel, line)
-        self.kernel_refs = set()     # member spellings referenced in kernel
-        self.capi_refs = set()       # member spellings referenced in capi.cpp
-        self.mirror_refs = set()     # fixture mode: refs anywhere in file
 
     # --- plumbing ----------------------------------------------------------
 
@@ -369,29 +357,6 @@ class Analyzer:
         for ch in label_expr.get_children():
             self._case_label_enums(ch, covered)
 
-    def note_counter_decls(self, cursor, abspath):
-        if cursor.kind != self.ck.STRUCT_DECL or \
-                cursor.spelling != "KernelStats":
-            return
-        if not cursor.is_definition():
-            return
-        for ch in cursor.get_children():
-            if ch.kind == self.ck.FIELD_DECL:
-                self.stats_fields.append(
-                    (ch.spelling, os.path.abspath(ch.location.file.name),
-                     ch.location.line))
-
-    def note_member_refs(self, cursor, abspath):
-        if cursor.kind != self.ck.MEMBER_REF_EXPR:
-            return
-        rel = self.rel(abspath)
-        if self.fixture_mode:
-            self.mirror_refs.add(cursor.spelling)
-        elif rel.startswith("src/kernel/"):
-            self.kernel_refs.add(cursor.spelling)
-        elif rel == "src/scap/capi.cpp":
-            self.capi_refs.add(cursor.spelling)
-
     def check_guards(self, cursor, abspath):
         if cursor.kind not in (self.ck.CLASS_DECL, self.ck.STRUCT_DECL):
             return
@@ -478,42 +443,12 @@ class Analyzer:
             self.check_mutex(cursor, abspath)
             if cursor.kind == self.ck.SWITCH_STMT:
                 self.check_switch(cursor, abspath)
-            self.note_counter_decls(cursor, abspath)
-            self.note_member_refs(cursor, abspath)
             self.check_guards(cursor, abspath)
             self.check_spsc(cursor, abspath, enclosing_fn)
         if self._is_function(cursor):
             enclosing_fn = cursor
         for ch in cursor.get_children():
             self.walk(ch, enclosing_fn)
-
-    def finish_counter_mirror(self):
-        """Cross-file half of counter-mirror, after every TU was walked."""
-        seen = set()
-        for name, abspath, line in self.stats_fields:
-            if (name, line) in seen:
-                continue
-            seen.add((name, line))
-            if self.fixture_mode:
-                if name not in self.mirror_refs:
-                    self.add(abspath, line, "counter-mirror",
-                             f"KernelStats::{name} is never mirrored "
-                             "(no member reference found)")
-                continue
-            if name not in self.kernel_refs:
-                self.add(abspath, line, "counter-mirror",
-                         f"KernelStats::{name} is never referenced by "
-                         "kernel code — dead counter")
-            if name not in self.capi_refs:
-                self.add(abspath, line, "counter-mirror",
-                         f"KernelStats::{name} is not mirrored into "
-                         "scap_stats_t in src/scap/capi.cpp")
-            if not scap_lint.word_in_file(self.root, "tools/chaos_run.cpp",
-                                          name):
-                self.add(abspath, line, "counter-mirror",
-                         f"KernelStats::{name} is not dumped by "
-                         "tools/chaos_run.cpp — invisible to the "
-                         "reproducibility gate")
 
     def check_fixture_waivers(self, files):
         """Fixture mode only: a waiver must say why (rule `waiver`).
@@ -602,7 +537,6 @@ def main():
             if tu is None:
                 return 2
             analyzer.walk(tu.cursor)
-        analyzer.finish_counter_mirror()
         analyzer.check_fixture_waivers(files)
         analyzer.check_stale_waivers(files)
     else:
@@ -621,7 +555,6 @@ def main():
             if tu is None:
                 return 2
             analyzer.walk(tu.cursor)
-        analyzer.finish_counter_mirror()
         analyzer.check_stale_waivers(
             [os.path.join(root, rel)
              for rel in scap_lint.iter_source_files(root, "src")])

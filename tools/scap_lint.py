@@ -3,11 +3,6 @@
 
 Rules
 -----
-api-stats-mirror
-    Every field of scap_stats_t (src/scap/scap.h) must be assigned in
-    scap_get_stats (src/scap/capi.cpp) — the reverse direction of the
-    mirror law.
-
 trace-coverage
     Every enumerator of trace::TraceEventType (src/trace/trace.hpp) must
     have (a) an emit site somewhere in src/ outside src/trace/ — an event
@@ -19,13 +14,15 @@ Waivers: append `// scap-lint: allow(<rule>) <reason>` to the offending
 line (or the line directly above it). Waivers without a reason are
 themselves findings.
 
-The former regex rules heap-hot-path and counter-conservation were
-promoted to tools/scap_analyzer.py, which checks the same invariants on
-the clang AST (rules hot-path-alloc, counter-mirror) and therefore sees
-through typedefs, `auto` and macros that regex cannot; the per-function
-nondeterminism rule retired in turn into tools/scap_taint.py's transitive
-taint rules (taint-wallclock/-rng/-ambient/…), which flag a
-nondeterministic value only where it can reach observable output. This
+The former regex rule heap-hot-path was promoted to tools/scap_analyzer.py
+(rule hot-path-alloc), which sees through typedefs, `auto` and macros on
+the clang AST; the per-function nondeterminism rule retired in turn into
+tools/scap_taint.py's transitive taint rules (taint-wallclock/-rng/
+-ambient/…), which flag a nondeterministic value only where it can reach
+observable output. The counter-mirror rules (api-stats-mirror here,
+counter-mirror in the analyzer) are gone: scap_stats_t, scap_get_stats,
+KernelStats and the chaos_run dump are all generated from the one counter
+table (src/kernel/stats_determinism.inc), so they cannot disagree. This
 file keeps only the rules where line-oriented text is the natural
 representation, plus the helpers and waiver syntax the tools share.
 
@@ -130,68 +127,6 @@ def waivers_for(lines, idx, rule):
     return waiver_line_for(lines, idx, rule) is not None
 
 
-FIELD_RE = re.compile(
-    r"^\s*std::u?int64_t\s+([a-z_][a-z0-9_]*)(?:\s*\[[^\]]*\])?\s*=?")
-
-
-def parse_struct_fields(lines, struct_name):
-    """Collect (name, line_no, declaration_line) for integer fields of
-    `struct <name> {...}` — counters only, nested braces skipped."""
-    fields = []
-    in_struct = False
-    depth = 0
-    for i, line in enumerate(lines):
-        if not in_struct:
-            if re.search(r"\bstruct\s+" + struct_name + r"\b", line):
-                in_struct = True
-                depth = line.count("{") - line.count("}")
-            continue
-        depth += line.count("{") - line.count("}")
-        if depth < 0 or (depth == 0 and "};" in line):
-            break
-        if depth > 1:
-            continue  # nested scope (e.g. a member function body)
-        m = FIELD_RE.match(line)
-        if m:
-            fields.append((m.group(1), i + 1, line))
-    return fields
-
-
-def word_in_file(root, rel, word):
-    path = os.path.join(root, rel)
-    if not os.path.exists(path):
-        return False
-    pattern = re.compile(r"\b" + re.escape(word) + r"\b")
-    lines = read_lines(path)
-    for line in lines:
-        if pattern.search(strip_comments_and_strings(line)):
-            return True
-    return False
-
-
-def check_api_stats_mirror(root, findings):
-    scap_h = "src/scap/scap.h"
-    path = os.path.join(root, scap_h)
-    if not os.path.exists(path):
-        findings.append(Finding(scap_h, 0, "api-stats-mirror",
-                                "scap.h not found"))
-        return
-    lines = read_lines(path)
-    fields = parse_struct_fields(lines, "scap_stats_t")
-    if not fields:
-        findings.append(Finding(scap_h, 0, "api-stats-mirror",
-                                "could not parse scap_stats_t"))
-        return
-    capi = os.path.join(root, "src/scap/capi.cpp")
-    capi_lines = [strip_comments_and_strings(l) for l in read_lines(capi)]
-    for name, line_no, _ in fields:
-        assign = re.compile(r"stats->\s*" + re.escape(name) + r"\b")
-        if not any(assign.search(l) for l in capi_lines):
-            findings.append(Finding(
-                scap_h, line_no, "api-stats-mirror",
-                f"scap_stats_t::{name} is never assigned in scap_get_stats"))
-
-
 def check_trace_coverage(root, findings):
     trace_hpp = "src/trace/trace.hpp"
     path = os.path.join(root, trace_hpp)
@@ -277,10 +212,6 @@ def main():
         return 2
 
     findings = []
-    # heap-hot-path and counter-conservation moved to tools/scap_analyzer.py
-    # (AST rules hot-path-alloc / counter-mirror), and nondeterminism to
-    # tools/scap_taint.py, so each violation is reported by exactly one tool.
-    check_api_stats_mirror(root, findings)
     check_trace_coverage(root, findings)
 
     # A waiver must say why, or it is itself a finding.

@@ -29,8 +29,6 @@ Rule = namedtuple("Rule", ["name", "tool", "description"])
 
 RULES = [
     # --- tools/scap_lint.py --------------------------------------------------
-    Rule("api-stats-mirror", "lint",
-         "every scap_stats_t field is assigned in scap_get_stats"),
     Rule("trace-coverage", "lint",
          "every TraceEventType has an emit site and a pretty-printer case"),
 
@@ -39,8 +37,6 @@ RULES = [
          "no operator new / C heap / unordered_map in hot-path files"),
     Rule("switch-exhaustive", "analyzer",
          "switches over watched enums cover every enumerator, no default"),
-    Rule("counter-mirror", "analyzer",
-         "every KernelStats field is referenced, mirrored and dumped"),
     Rule("mutex-discipline", "analyzer",
          "no raw std::mutex/lock types outside src/base/mutex.hpp"),
     Rule("guard-coverage", "analyzer",
@@ -79,8 +75,8 @@ RULES = [
          "no scheduling-dependent channel read reaching a deterministic "
          "output"),
     Rule("stats-registry", "taint",
-         "every KernelStats field / metrics histogram classified exactly "
-         "once in stats_determinism.inc, SCHED rows witness-backed"),
+         "every counter-table row written somewhere in src/, SCHED rows "
+         "witness-backed, every metrics histogram classified exactly once"),
 ]
 
 # Pseudo-rules every tool may emit about waivers of its own rules.

@@ -43,20 +43,23 @@ edge — the discharge point for a callee whose taint drains entirely into
 registry-classified scheduling-dependent fields. Waivers that suppress
 nothing are reported stale.
 
-The `stats-registry` rule machine-checks the registry itself: every
-KernelStats field and every trace::MetricsRegistry histogram must be
-classified exactly once, no row may go stale, and every
-kSchedulingDependent field must be backed by at least one surviving
-taint witness chain reaching a write of it. The registry is the single
-source of truth both normalization consumers derive from
-(tests/scap/shard_conservation_test.cpp normalized(), tools/chaos_run.cpp
-reproducible-report filtering).
+The KernelStats field names come from the counter table's rows: the
+table generates the struct (and every copy of its field list), so the
+compiler already rejects a duplicate row or an unknown class, and a
+static_assert on the struct's size (kernel/module.cpp) rejects a field
+added outside the table. The `stats-registry` rule checks what the
+compiler cannot:
+every row must have a write site somewhere in src/ (a row nothing writes
+is a dead counter), every kSchedulingDependent row must be backed by at
+least one surviving taint witness chain reaching a write of it, and every
+trace::MetricsRegistry histogram must be classified exactly once with no
+stale histogram rows.
 
-Fixture mode (--fixtures DIR): each .cpp is its own program. A fixture
-containing `struct KernelStats` with a same-stem sibling `.inc` exercises
-the registry checks; functions inside a namespace named `exporter` stand
-in for the exporter files. Exit 77 only for an explicit `--frontend clang`
-without libclang; the text frontend always runs.
+Fixture mode (--fixtures DIR): each .cpp is its own program, and a
+same-stem sibling `.inc` is its counter table; functions inside a
+namespace named `exporter` stand in for the exporter files. Exit 77 only
+for an explicit `--frontend clang` without libclang; the text frontend
+always runs.
 """
 
 import argparse
@@ -177,6 +180,8 @@ def stats_write_res(scalars, arrays):
         alt = "|".join(sorted(arrays))
         res.append(re.compile(
             rf"(?:\w|\)|\])\s*(?:\.|->)\s*({alt})\s*\[[^\]]*\]\s*{WRITE_OPS}"))
+        res.append(re.compile(
+            rf"(?:\+\+|--)\s*[\w.\[\]>-]*(?:\.|->)\s*({alt})\s*\["))
     return res
 
 
@@ -201,13 +206,13 @@ class Source:
 # Struct / registry parsing
 # ---------------------------------------------------------------------------
 
-# `std::` optional so hermetic fixtures can typedef uint64_t themselves.
-FIELD_RE = re.compile(r"^\s*(?:std\s*::\s*)?u?int64_t\s+(\w+)\s*(\[)?")
 HIST_RE = re.compile(r"^\s*Log2Histogram\s+(\w+)\s*;")
+# One table row; array rows may wrap, so this runs over the whole file.
+# SCAP_STATS_* rows carry (name, combine, class, ...), SCAP_METRIC_HIST
+# rows (name, class).
 INC_ROW_RE = re.compile(
-    r"^\s*(SCAP_STATS_FIELD|SCAP_STATS_ARRAY|SCAP_METRIC_HIST)\s*\(\s*"
-    r"(\w+)\s*,\s*(\w+)\s*\)")
-CLASSES = ("kDeterministic", "kShardGeometry", "kSchedulingDependent")
+    r"^[ \t]*(SCAP_STATS_FIELD|SCAP_STATS_ARRAY|SCAP_METRIC_HIST)\s*\(\s*"
+    r"(\w+)\s*,\s*(\w+)\s*(?:,\s*(\w+))?[^)]*\)", re.M)
 
 
 def parse_struct(stripped_lines, struct_name, member_re):
@@ -229,8 +234,7 @@ def parse_struct(stripped_lines, struct_name, member_re):
         if opened and depth == 1:
             m = member_re.match(ln)
             if m:
-                is_array = m.re.groups >= 2 and m.group(2) is not None
-                members[m.group(1)] = (i + 1, is_array)
+                members[m.group(1)] = i + 1
         for ch in ln:
             if ch == "{":
                 depth += 1
@@ -243,14 +247,12 @@ def parse_struct(stripped_lines, struct_name, member_re):
 
 
 class Registry:
-    """Parsed stats_determinism.inc: rows keyed by name per macro kind."""
+    """Parsed counter table (stats_determinism.inc): rows keyed by name."""
 
     def __init__(self, rel):
         self.rel = rel
         self.fields = {}   # name -> (cls, is_array, line)
         self.hists = {}    # name -> (cls, line)
-        self.dups = []     # (line, name)
-        self.bad = []      # (line, name, cls)
 
     @staticmethod
     def load(path, rel):
@@ -258,23 +260,15 @@ class Registry:
             return None
         reg = Registry(rel)
         with open(path, encoding="utf-8") as f:
-            for lineno, ln in enumerate(f, start=1):
-                m = INC_ROW_RE.match(ln)
-                if not m:
-                    continue
-                macro, name, cls = m.groups()
-                if cls not in CLASSES:
-                    reg.bad.append((lineno, name, cls))
-                    continue
-                table = reg.hists if macro == "SCAP_METRIC_HIST" else reg.fields
-                if name in table:
-                    reg.dups.append((lineno, name))
-                    continue
-                if macro == "SCAP_METRIC_HIST":
-                    reg.hists[name] = (cls, lineno)
-                else:
-                    reg.fields[name] = (cls, macro == "SCAP_STATS_ARRAY",
-                                        lineno)
+            text = f.read()
+        for m in INC_ROW_RE.finditer(text):
+            macro, name, second, third = m.groups()
+            lineno = text.count("\n", 0, m.start()) + 1
+            if macro == "SCAP_METRIC_HIST":
+                reg.hists[name] = (second, lineno)
+            else:
+                reg.fields[name] = (third, macro == "SCAP_STATS_ARRAY",
+                                    lineno)
         return reg
 
     def field_class(self, name):
@@ -337,14 +331,7 @@ def analyze_taint(graph, fixture_mode, root):
             rf"for\s*\([^;)]*:\s*[&*]?\s*(?:this\s*->\s*)?({alt})\s*\)|"
             rf"\b({alt})\s*\.\s*(?:begin|cbegin|rbegin)\s*\(")
 
-    # -- KernelStats / MetricsRegistry / registry -----------------------------
-    stats_file = None
-    stats_fields = None
-    for rel in sorted(stripped):
-        parsed = parse_struct(stripped[rel], "KernelStats", FIELD_RE)
-        if parsed is not None:
-            stats_file, stats_fields = rel, parsed
-            break
+    # -- counter table / MetricsRegistry ------------------------------------
     hist_file = None
     hist_members = None
     for rel in sorted(stripped):
@@ -355,10 +342,9 @@ def analyze_taint(graph, fixture_mode, root):
 
     registry = None
     if fixture_mode:
-        if stats_file is not None:
-            stem = os.path.splitext(stats_file)[0]
-            registry = Registry.load(os.path.join(root, stem + ".inc"),
-                                     stem + ".inc")
+        # A fixture graph is one .cpp; its counter table is the sibling .inc.
+        inc = os.path.splitext(min(graph.raw_lines))[0] + ".inc"
+        registry = Registry.load(os.path.join(root, inc), inc)
     else:
         registry = Registry.load(
             os.path.join(root, "src/kernel/stats_determinism.inc"),
@@ -405,10 +391,10 @@ def analyze_taint(graph, fixture_mode, root):
 
     scalar_names = set()
     array_names = set()
-    if stats_fields:
-        for name, (_, is_array) in stats_fields.items():
-            (array_names if is_array else scalar_names).add(name)
+    for name, (_, is_array, _) in reg.fields.items():
+        (array_names if is_array else scalar_names).add(name)
     write_res = stats_write_res(scalar_names, array_names)
+    written = set()   # fields with a write site anywhere in scope
 
     for rel in sorted(stripped):
         for i, ln in enumerate(stripped[rel], start=1):
@@ -422,6 +408,7 @@ def analyze_taint(graph, fixture_mode, root):
             for rx in write_res:
                 for m in rx.finditer(ln):
                     field = next(g for g in m.groups() if g)
+                    written.add(field)
                     add_sink(Sink("stats", f"KernelStats.{field}", rel, i,
                                   name=field))
 
@@ -523,44 +510,20 @@ def analyze_taint(graph, fixture_mode, root):
         findings.append(CgFinding(file, line, rule, chain,
                                   f"{msg}: {chain_str(chain)}"))
 
-    # -- stats-registry: machine-check the registry itself ------------------
+    # -- stats-registry: what the compiler cannot check about the table ----
     if registry is not None:
-        for lineno, name, cls in registry.bad:
-            findings.append(CgFinding(
-                registry.rel, lineno, "stats-registry", [],
-                f"'{name}' has unknown determinism class '{cls}'"))
-        for lineno, name in registry.dups:
-            findings.append(CgFinding(
-                registry.rel, lineno, "stats-registry", [],
-                f"duplicate registry row for '{name}'"))
-        if stats_fields is not None:
-            for name, (lineno, is_array) in sorted(stats_fields.items()):
-                row = registry.fields.get(name)
-                if row is None:
-                    findings.append(CgFinding(
-                        stats_file, lineno, "stats-registry", [],
-                        f"KernelStats field '{name}' is not classified in "
-                        f"{registry.rel}"))
-                elif row[1] != is_array:
-                    want = "SCAP_STATS_ARRAY" if is_array \
-                        else "SCAP_STATS_FIELD"
-                    findings.append(CgFinding(
-                        registry.rel, row[2], "stats-registry", [],
-                        f"'{name}' is registered with the wrong macro "
-                        f"(want {want})"))
-            for name, (cls, _, lineno) in sorted(registry.fields.items()):
-                if name not in stats_fields:
-                    findings.append(CgFinding(
-                        registry.rel, lineno, "stats-registry", [],
-                        f"registry row '{name}' matches no KernelStats "
-                        "field (stale)"))
-                elif cls == "kSchedulingDependent" and name not in witnesses:
-                    findings.append(CgFinding(
-                        registry.rel, lineno, "stats-registry", [],
-                        f"'{name}' is classified kSchedulingDependent but "
-                        "no taint witness chain reaches a write of it"))
+        for name, (cls, _, lineno) in sorted(registry.fields.items()):
+            if name not in written:
+                findings.append(CgFinding(
+                    registry.rel, lineno, "stats-registry", [],
+                    f"'{name}' is never written — dead counter"))
+            elif cls == "kSchedulingDependent" and name not in witnesses:
+                findings.append(CgFinding(
+                    registry.rel, lineno, "stats-registry", [],
+                    f"'{name}' is classified kSchedulingDependent but "
+                    "no taint witness chain reaches a write of it"))
         if hist_members is not None:
-            for name, (lineno, _) in sorted(hist_members.items()):
+            for name, lineno in sorted(hist_members.items()):
                 if name not in registry.hists:
                     findings.append(CgFinding(
                         hist_file, lineno, "stats-registry", [],
