@@ -7,9 +7,8 @@
 // analysis — fields it guards cannot be annotated against it.
 //
 // SerialDomain is the capability for state that is serialized structurally
-// rather than by a lock: the kernel's entry points require it, the capture
-// acquires it together with kernel_mutex_ in threaded mode, and asserts it
-// in inline mode where single-threadedness is the serialization.
+// rather than by a lock: the kernel's entry points require it, and the
+// sharded datapath acquires it together with the shard's batch lock.
 #pragma once
 
 #include <condition_variable>  // the one place raw primitives may live (the
@@ -97,8 +96,7 @@ class SCAP_CAPABILITY("serial domain") SerialDomain {
 
 /// RAII acquisition of a SerialDomain (zero runtime cost). The holder is
 /// asserting "I am the serialization domain right now" — in the capture
-/// that assertion is backed either by kernel_mutex_ or by inline mode's
-/// single-threadedness.
+/// that assertion is backed by the shard's batch lock.
 class SCAP_SCOPED_CAPABILITY SerialGuard {
  public:
   explicit SerialGuard(SerialDomain& d) SCAP_ACQUIRE(d) : d_(d) {

@@ -38,8 +38,9 @@ KernelConfig shard_config(const KernelConfig& base, int num_shards) {
 
 }  // namespace
 
-KernelShards::Shard::Shard(const KernelConfig& cfg, std::size_t ring_capacity)
-    : kernel(cfg, /*nic=*/nullptr), ring(ring_capacity) {}
+KernelShards::Shard::Shard(const KernelConfig& cfg, nic::Nic* nic,
+                           std::size_t ring_capacity)
+    : kernel(cfg, nic), ring(ring_capacity) {}
 
 KernelShards::KernelShards(const KernelConfig& config, int num_shards)
     : KernelShards(config, num_shards, Options()) {}
@@ -68,7 +69,8 @@ KernelShards::KernelShards(const KernelConfig& config, int num_shards,
     producer_tracer_ = std::make_unique<trace::Tracer>(ptc);
   }
   for (int i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>(cfg, opts_.ring_capacity));
+    shards_.push_back(
+        std::make_unique<Shard>(cfg, /*nic=*/nullptr, opts_.ring_capacity));
     Shard& s = *shards_.back();
     if (opts_.trace.has_value()) {
       trace::TraceConfig tc = *opts_.trace;
@@ -83,6 +85,21 @@ KernelShards::KernelShards(const KernelConfig& config, int num_shards,
   }
 }
 
+KernelShards::KernelShards(const KernelConfig& config, nic::Nic& nic,
+                           trace::Tracer* tracer)
+    : inline_(true), rss_(symmetric_rss_key(), 1) {
+  pushed_.assign(1, 0);
+  watchdog_.assign(1, WatchdogState{});
+  // The ring stays empty (runs and ticks never touch it), so one slot.
+  shards_.push_back(
+      std::make_unique<Shard>(shard_config(config, 1), &nic, /*ring=*/1));
+  Shard& s = *shards_.back();
+  base::MutexLock lock(s.mu);
+  base::SerialGuard serial(s.kernel.serial());
+  if (tracer != nullptr) s.kernel.set_tracer(tracer);
+  refresh_snapshot(s);
+}
+
 KernelShards::~KernelShards() = default;
 
 void KernelShards::wake(Shard& s) {
@@ -94,13 +111,51 @@ void KernelShards::wake(Shard& s) {
 }
 
 void KernelShards::submit_to(int shard, Packet pkt) {
+  if (inline_) {
+    process_run(shard, std::span<const Packet>(&pkt, 1));
+    return;
+  }
   ShardItem item;
   item.kind = ShardItem::Kind::kPacket;
   item.pkt = std::move(pkt);
   push_item(idx(shard), std::move(item));
 }
 
+void KernelShards::submit_run(std::span<const SteeredPacket> run) {
+  if (!inline_) {
+    for (const SteeredPacket& sp : run) submit_to(sp.shard, *sp.pkt);
+    return;
+  }
+  // One shard, so the whole run is its batch.
+  for (const SteeredPacket& sp : run) {
+    // scap-lint: allow(hot-alloc) run_ keeps its capacity across runs, so it grows only until it fits the largest run and is absent at steady state
+    run_.push_back(*sp.pkt);
+  }
+  process_run(0, run_);
+  run_.clear();
+}
+
+void KernelShards::process_run(int shard, std::span<const Packet> pkts) {
+  if (pkts.empty()) return;
+  Shard& s = *shards_[idx(shard)];
+  s.submitted_pkts.fetch_add(pkts.size(), std::memory_order_relaxed);
+  // scap-lint: allow(hot-mutex) one batch-granular lock (producer vs stop/check_invariants), amortized over the whole run — never per packet
+  base::MutexLock lock(s.mu);
+  base::SerialGuard serial(s.kernel.serial());
+  s.kernel.handle_batch(pkts, pkts.back().timestamp(), /*core=*/0);
+  s.consumed_pkts.fetch_add(pkts.size(), std::memory_order_relaxed);
+  publish_and_drain(s, shard);
+}
+
 void KernelShards::tick_all(Timestamp now) {
+  if (inline_) {
+    Shard& s = *shards_.front();
+    base::MutexLock lock(s.mu);
+    base::SerialGuard serial(s.kernel.serial());
+    tick_shard(s, 0, now);
+    publish_and_drain(s, 0);
+    return;
+  }
   // The tick cadence doubles as the watchdog heartbeat check: a shard that
   // stopped consuming is detected here, before more work is queued on it.
   check_watchdog(now);
@@ -280,6 +335,14 @@ void KernelShards::push_item(std::size_t shard, ShardItem item) {
   std::size_t spins = 0;
   const bool bounded = opts_.stall_timeout.ns() > 0 && !workers_.empty();
   while (!s.ring.try_push(std::move(item))) {
+    if (workers_.empty()) {
+      // Full ring and no worker (pre-start, post-stop): this thread is the
+      // only consumer there is, so make room itself instead of waiting for
+      // a worker that does not exist.
+      // scap-lint: allow(hot-cold-call) fires only on a full ring with no worker thread, never on the threaded per-packet path
+      drain_ring_inline(shard);
+      continue;
+    }
     // Ring full: backpressure the producer (kick the worker, then yield)
     // rather than drop — with admission off, loss must happen inside the
     // kernels, where the paper's verdict accounting can see it. When the
@@ -304,6 +367,7 @@ void KernelShards::start(DrainFn drain) {
   SCAP_ASSERT(workers_.empty(), "shards already started");
   SCAP_ASSERT(!stopped_, "shards already stopped");
   drain_ = std::move(drain);
+  if (inline_) return;
   workers_.reserve(shards_.size());
   for (int i = 0; i < num_shards(); ++i) {
     workers_.emplace_back(
@@ -311,21 +375,26 @@ void KernelShards::start(DrainFn drain) {
   }
 }
 
+void KernelShards::drain_ring_inline(std::size_t shard) {
+  Shard& s = *shards_[shard];
+  base::SerialGuard consumer(s.ring.consumer());
+  std::vector<ShardItem> buf(opts_.batch_size);
+  std::vector<Packet> scratch(opts_.batch_size);
+  for (;;) {
+    const std::size_t n = s.ring.pop_batch(std::span<ShardItem>(buf));
+    if (n == 0) break;
+    process_items(s, static_cast<int>(shard), {buf.data(), n}, scratch);
+    s.processed.fetch_add(n, std::memory_order_release);
+  }
+}
+
 void KernelShards::flush() {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& s = *shards_[i];
     if (workers_.empty()) {
-      // No workers (pre-start or post-stop): the calling thread is the one
-      // consumer and drains inline.
-      base::SerialGuard consumer(s.ring.consumer());
-      std::vector<ShardItem> buf(opts_.batch_size);
-      std::vector<Packet> scratch(opts_.batch_size);
-      for (;;) {
-        const std::size_t n = s.ring.pop_batch(std::span<ShardItem>(buf));
-        if (n == 0) break;
-        process_items(s, static_cast<int>(i), {buf.data(), n}, scratch);
-        s.processed.fetch_add(n, std::memory_order_release);
-      }
+      // No workers (inline, pre-start or post-stop): the calling thread is
+      // the one consumer.
+      drain_ring_inline(i);
     } else {
       // Bounded when the watchdog is armed: a dead worker trips the stall
       // policy (degraded shards are skipped — their residue is drained
@@ -409,7 +478,9 @@ void KernelShards::stop(Timestamp now) {
     base::MutexLock lock(s.mu);
     base::SerialGuard serial(s.kernel.serial());
     s.kernel.terminate_all(now);
-    drain_shard(i, s.kernel);
+    publish_and_drain(s, i);
+    // Again after the final drain, so the snapshot also counts the drain's
+    // own trace events (kEventDispatched) from here on.
     refresh_snapshot(s);
   }
   // Bounded-drain postcondition: every packet handed to submit_to() was
@@ -488,9 +559,8 @@ void KernelShards::process_items(Shard& s, int shard,
       // sample — is a pure function of the ring prefix, not of where the
       // scheduler happened to place the batch boundary
       // (tests/scap/schedule_perturbation_test pins this bit-for-bit).
-      drain_shard(shard, s.kernel);
       // scap-lint: allow(hot-cold-call) in-band maintenance marker: one tick per maintenance interval rides the ring so expiry stays ordered with traffic
-      s.kernel.run_maintenance(items[i].ts);
+      tick_shard(s, shard, items[i].ts);
       ++i;
       continue;
     }
@@ -510,9 +580,18 @@ void KernelShards::process_items(Shard& s, int shard,
   // batch's mu section, so invariant checks that hold mu see a consistent
   // pair with the kernel's pkts_seen).
   if (pkts > 0) s.consumed_pkts.fetch_add(pkts, std::memory_order_relaxed);
-  drain_shard(shard, s.kernel);
-  // scap-lint: allow(hot-cold-call) per-batch snapshot publish so stats() never blocks on a worker; amortized over the batch
+  publish_and_drain(s, shard);
+}
+
+void KernelShards::tick_shard(Shard& s, int shard, Timestamp now) {
+  publish_and_drain(s, shard);
+  s.kernel.run_maintenance(now);
+}
+
+void KernelShards::publish_and_drain(Shard& s, int shard) {
+  // scap-lint: allow(hot-cold-call) per-batch snapshot publish so stats() never blocks on the consumer; amortized over the batch
   refresh_snapshot(s);
+  drain_shard(shard, s.kernel);
 }
 
 void KernelShards::refresh_snapshot(Shard& s) {

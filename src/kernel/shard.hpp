@@ -2,24 +2,30 @@
 //
 // The paper parallelizes Scap by steering flows to cores with symmetric RSS
 // and running an independent stream-reassembly context per core. This layer
-// is that structure: N worker shards, each owning a complete ScapKernel —
-// its own flow-table slab pool, chunk allocator, PPL controller, event
-// queue, and trace ring — fed from a single producer through per-shard
-// lock-free SPSC rings. A flow's two directions hash to the same shard
-// (RssEngine canonicalizes the 4-tuple), so no flow state is ever shared:
-// the per-packet worker path takes no shared lock at all.
+// is that structure: N shards, each owning a complete ScapKernel — its own
+// flow-table slab pool, chunk allocator, PPL controller, event queue, and
+// trace ring. A flow's two directions hash to the same shard (RssEngine
+// canonicalizes the 4-tuple), so no flow state is ever shared: the
+// per-packet path takes no shared lock at all.
+//
+// Two ways to drive the shards, fixed at construction:
+//   * threaded — one worker thread per shard, fed from a single producer
+//     through per-shard lock-free SPSC rings; FDIR programming crosses back
+//     to the NIC-owning producer through a bounded MPSC command queue
+//     (FdirCommand), never a lock;
+//   * inline — one shard, no threads: the producer is the consumer and
+//     processes each submitted run of packets itself, and the shard kernel
+//     programs the producer-owned NIC directly (the zero-worker Capture).
 //
 // Locking model (every lock here is per-shard and batch-granular):
 //   * ring producer/consumer SerialDomains — structural single-writer
 //     discipline on the SPSC handoff (spsc-discipline analyzer rule);
-//   * Shard::mu — serializes entry into the shard kernel between the worker
-//     (once per popped batch, never per packet) and quiescent-state callers
-//     (stop(), check_invariants(), tests);
+//   * Shard::mu — serializes entry into the shard kernel between its
+//     consumer (once per batch, never per packet) and quiescent-state
+//     callers (stop(), check_invariants(), tests);
 //   * Shard::snap_mu — guards a per-batch KernelStats snapshot so stats()
 //     aggregation never touches a kernel mutex (callable from event
-//     handlers without deadlock);
-//   * FDIR programming crosses back to the NIC-owning producer through a
-//     bounded MPSC command queue (FdirCommand), never a lock.
+//     handlers without deadlock).
 //
 // Aggregation: every KernelStats conservation law is linear, so the
 // shard-sum satisfies check_conservation whenever each shard does; stats()
@@ -65,12 +71,19 @@ struct ShardItem {
   Timestamp ts{};  // kMaintenance: the tick's simulated time
 };
 
-/// N per-core ScapKernel instances behind SPSC ingest rings.
+/// A packet the NIC has steered: its RX queue is its shard.
+struct SteeredPacket {
+  const Packet* pkt;
+  int shard;
+};
+
+/// N per-core ScapKernel instances, threaded behind SPSC ingest rings or
+/// driven inline by the producer.
 ///
-/// Thread roles: exactly one producer thread drives submit()/tick_all()/
-/// flush()/service_fdir() (annotated SCAP_REQUIRES(producer())); start()
-/// spawns one worker thread per shard; stats() may be called from any
-/// thread, including event handlers running on workers.
+/// Thread roles: exactly one producer thread drives submit()/submit_run()/
+/// tick_all()/flush()/service_fdir() (annotated SCAP_REQUIRES(producer()));
+/// start() spawns one worker thread per shard unless the shards are inline;
+/// stats() may be called from any thread, including event handlers.
 class KernelShards {
  public:
   struct Options {
@@ -114,12 +127,15 @@ class KernelShards {
     std::size_t stall_spin_limit = std::size_t{1} << 20;
   };
 
-  /// Event-drain hook: called on the worker thread after every processed
+  /// Event-drain hook: called on the consuming thread after every processed
   /// batch and before every in-band maintenance tick (so the tick observes
   /// settled chunk accounting — a pure function of the ring prefix, never
-  /// of batch boundaries), and from stop() after terminate_all — always with the shard's
-  /// kernel serialized (take a fresh SerialGuard on kernel.serial() inside
-  /// the callback; it is a zero-cost re-assertion the analysis needs).
+  /// of batch boundaries), and from stop() after terminate_all — always
+  /// with the shard's kernel serialized (take a fresh SerialGuard on
+  /// kernel.serial() inside the callback; it is a zero-cost re-assertion
+  /// the analysis needs). The stats snapshot is published just before each
+  /// drain, so a handler reading stats() never sees an event that the
+  /// snapshot's events_emitted does not count yet.
   /// When no hook is installed the shards drain their own event queues and
   /// release chunk accounting (benches, chaos_run).
   using DrainFn = std::function<void(int shard, ScapKernel& kernel)>;
@@ -130,6 +146,13 @@ class KernelShards {
   /// affinity — RSS affinity *is* the balance policy, paper §4.2).
   KernelShards(const KernelConfig& config, int num_shards);
   KernelShards(const KernelConfig& config, int num_shards, Options opts);
+  /// Inline shards: one shard, never a worker thread. The shard kernel
+  /// programs `nic` directly — so the §5.5 doubling-timeout reinstall path
+  /// and kernel-time FDIR counting apply, and there is no command queue —
+  /// and records on `tracer` (may be null), which the producer may share
+  /// for its own NIC events. Both must outlive the shards.
+  KernelShards(const KernelConfig& config, nic::Nic& nic,
+               trace::Tracer* tracer);
   ~KernelShards();
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -167,9 +190,18 @@ class KernelShards {
   }
   SCAP_HOT void submit_to(int shard, Packet pkt) SCAP_REQUIRES(producer_);
 
+  /// Hand over a run of steered packets in arrival order, copied in.
+  /// Threaded, each is pushed onto its shard's ring as submit_to() would;
+  /// inline, the calling thread processes the run as one kernel batch and
+  /// drains its events — no ring round trip. A run must not straddle a
+  /// maintenance tick: call tick_all() between runs.
+  SCAP_HOT void submit_run(std::span<const SteeredPacket> run)
+      SCAP_REQUIRES(producer_);
+
   /// Push an in-band maintenance marker at simulated time `now` onto every
-  /// shard. Call at a fixed cadence (and before submitting packets with
-  /// timestamps >= now) to keep expiry deterministic across shard counts.
+  /// shard (inline: run the maintenance pass right here). Call at a fixed
+  /// cadence (and before submitting packets with timestamps >= now) to
+  /// keep expiry deterministic across shard counts.
   /// This is also the watchdog heartbeat check: shards that stopped
   /// consuming are detected here (Options::stall_timeout).
   void tick_all(Timestamp now) SCAP_REQUIRES(producer_);
@@ -180,12 +212,14 @@ class KernelShards {
 
   /// Apply queued FDIR commands to the producer-owned NIC and service
   /// hardware filter expiry. Workers only enqueue; this is the single
-  /// consumer of the command queue.
+  /// consumer of the command queue. A no-op for inline shards, whose kernel
+  /// programs and expires the filters itself.
   SCAP_COLD void service_fdir(nic::Nic& nic, Timestamp now)
       SCAP_REQUIRES(producer_);
 
   // --- lifecycle ----------------------------------------------------------
-  /// Spawn one worker thread per shard. `drain` may be empty (self-drain).
+  /// Install the drain hook and spawn one worker thread per shard (none
+  /// for inline shards). `drain` may be empty (self-drain).
   void start(DrainFn drain) SCAP_REQUIRES(producer_);
 
   /// Flush the rings, join the workers, then terminate_all() on every
@@ -197,7 +231,6 @@ class KernelShards {
   /// calling thread afterwards, so the in-flight accounting closes exactly
   /// (submitted == consumed + shed is asserted per shard).
   SCAP_COLD void stop(Timestamp now) SCAP_REQUIRES(producer_);
-  bool running() const { return !workers_.empty(); }
 
   /// True once the watchdog declared this shard stalled under policy
   /// kDegrade; its subsequent traffic is shed into ring_stall_shed_*.
@@ -237,19 +270,19 @@ class KernelShards {
 
  private:
   struct Shard {
-    Shard(const KernelConfig& cfg, std::size_t ring_capacity);
+    Shard(const KernelConfig& cfg, nic::Nic* nic, std::size_t ring_capacity);
 
     ScapKernel kernel;  // enter under mu + kernel.serial()
     SpscRing<ShardItem> ring;
     std::unique_ptr<trace::Tracer> tracer;
 
-    /// Serializes kernel entry: the worker takes it once per batch; stop()
-    /// and check_invariants() take it from other threads.
+    /// Serializes kernel entry: the consumer takes it once per batch;
+    /// stop() and check_invariants() take it from other threads.
     base::Mutex mu;
 
-    /// Post-batch snapshots (kernel counters + trace totals), so
+    /// Per-batch snapshots (kernel counters + trace totals), so
     /// aggregation never waits on a batch and never reads state the
-    /// worker is mutating.
+    /// consumer is mutating.
     mutable base::Mutex snap_mu;
     KernelStats snapshot SCAP_GUARDED_BY(snap_mu);
     std::uint64_t snap_trace_recorded SCAP_GUARDED_BY(snap_mu) = 0;
@@ -300,6 +333,21 @@ class KernelShards {
   /// reusable packet buffer (no per-batch allocation).
   SCAP_HOT void process_items(Shard& s, int shard, std::span<ShardItem> items,
                               std::vector<Packet>& scratch);
+  /// Inline shards: one kernel entry for a run of packets, processed and
+  /// drained on the calling thread.
+  SCAP_HOT void process_run(int shard, std::span<const Packet> pkts)
+      SCAP_REQUIRES(producer_);
+  /// Consume everything on `shard`'s ring on the calling thread — the one
+  /// consumer whenever no worker thread exists (pre-start, post-stop).
+  SCAP_COLD void drain_ring_inline(std::size_t shard) SCAP_REQUIRES(producer_);
+  /// The in-band maintenance marker: settle the event queue, then run the
+  /// kernel's maintenance pass at `now`.
+  SCAP_COLD void tick_shard(Shard& s, int shard, Timestamp now)
+      SCAP_REQUIRES(s.kernel.serial());
+  /// End of a kernel entry: publish the stats snapshot, then drain the
+  /// events (in that order — see DrainFn).
+  void publish_and_drain(Shard& s, int shard)
+      SCAP_REQUIRES(s.kernel.serial());
   SCAP_HOT void push_item(std::size_t shard, ShardItem item)
       SCAP_REQUIRES(producer_);
   /// Watermark-ladder admission for a data packet at ring occupancy `occ`.
@@ -339,12 +387,17 @@ class KernelShards {
   void wake(Shard& s);
 
   Options opts_;
+  /// Inline shards (the NIC-owning constructor): no worker threads ever,
+  /// the producer processes every run and tick itself.
+  const bool inline_ = false;
   nic::RssEngine rss_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<FdirCommandQueue> fdir_queue_;
   DrainFn drain_;
   std::vector<std::jthread> workers_;
   mutable base::SerialDomain producer_;
+  /// Inline shards: the run submit_run() gathers for one kernel batch.
+  std::vector<Packet> run_ SCAP_GUARDED_BY(producer_);
   /// Producer-local push counts per shard (single producer, no atomics).
   std::vector<std::uint64_t> pushed_ SCAP_GUARDED_BY(producer_);
   bool stopped_ SCAP_GUARDED_BY(producer_) = false;

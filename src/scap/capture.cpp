@@ -1,5 +1,6 @@
 #include "scap/capture.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -106,10 +107,7 @@ void Capture::add_cutoff_class(std::int64_t bytes, const std::string& bpf) {
   config_.cutoff_classes.push_back(std::move(cls));
 }
 
-void Capture::set_worker_threads(int n) {
-  worker_threads_ = n < 0 ? 0 : n;
-  config_.num_cores = worker_threads_ > 0 ? worker_threads_ : 1;
-}
+void Capture::set_worker_threads(int n) { worker_threads_ = n < 0 ? 0 : n; }
 
 bool Capture::set_parameter(Parameter p, std::int64_t value) {
   switch (p) {
@@ -211,95 +209,70 @@ void Capture::enable_tracing(std::size_t ring_capacity) {
 
 void Capture::start() {
   if (started_) throw std::logic_error("scap: capture already started");
-  if (worker_threads_ > 0) {
-    {
-      // The NIC (and its tracer) stay producer-owned: one RSS queue per
-      // shard, same symmetric key as the shards' own steering, so a
-      // packet's RX queue *is* its shard index.
-      base::MutexLock lock(kernel_mutex_);
-      nic_ = std::make_unique<nic::Nic>(worker_threads_);
-      if (trace_capacity_ > 0) {
-        trace::TraceConfig tc;
-        tc.ring_capacity = trace_capacity_;
-        tc.cores = worker_threads_;
-        tracer_ = std::make_unique<trace::Tracer>(tc);
-        nic_->set_tracer(tracer_.get());
-      }
-    }
-    kernel::KernelShards::Options opts;
-    opts.ring_capacity = ring_capacity_;
-    {
-      // Translate the staged percentages into slots of the ring's real
-      // (power-of-two-rounded) capacity, so "high = 100%" means exactly
-      // full and the hysteresis band is what the caller asked for.
-      base::MutexLock plock(producer_mutex_);
-      if (ring_policy_.high_watermark_pct > 0) {
-        std::size_t cap = 1;
-        while (cap < ring_capacity_) cap <<= 1;
-        std::size_t high =
-            cap * static_cast<std::size_t>(ring_policy_.high_watermark_pct) /
-            100;
-        if (high == 0) high = 1;
-        std::size_t low =
-            cap * static_cast<std::size_t>(ring_policy_.low_watermark_pct) /
-            100;
-        if (low > high) low = high;
-        opts.ring_high_watermark = high;
-        opts.ring_low_watermark = low;
-      }
-      opts.stall_timeout = Duration::from_msec(ring_policy_.stall_timeout_ms);
-      opts.stall_policy = ring_policy_.stall_policy;
-    }
+  const int n = std::max(worker_threads_, 1);
+  kernel::KernelShards::Options opts;  // the threaded shards' ring policy
+  opts.ring_capacity = ring_capacity_;
+  base::MutexLock plock(producer_mutex_);
+  if (ring_policy_.high_watermark_pct > 0) {
+    // Translate the staged percentages into slots of the ring's real
+    // (power-of-two-rounded) capacity, so "high = 100%" means exactly
+    // full and the hysteresis band is what the caller asked for.
+    std::size_t cap = 1;
+    while (cap < ring_capacity_) cap <<= 1;
+    std::size_t high =
+        cap * static_cast<std::size_t>(ring_policy_.high_watermark_pct) / 100;
+    if (high == 0) high = 1;
+    std::size_t low =
+        cap * static_cast<std::size_t>(ring_policy_.low_watermark_pct) / 100;
+    if (low > high) low = high;
+    opts.ring_high_watermark = high;
+    opts.ring_low_watermark = low;
+  }
+  opts.stall_timeout = Duration::from_msec(ring_policy_.stall_timeout_ms);
+  opts.stall_policy = ring_policy_.stall_policy;
+  nic::Nic* nic = nullptr;
+  {
+    // The NIC (and the capture tracer) are producer-owned: one RSS queue
+    // per shard, same symmetric key as the shards' own steering, so a
+    // packet's RX queue *is* its shard index.
+    base::MutexLock lock(kernel_mutex_);
+    nic_ = std::make_unique<nic::Nic>(n);
+    nic = nic_.get();
     if (trace_capacity_ > 0) {
       trace::TraceConfig tc;
       tc.ring_capacity = trace_capacity_;
+      tc.cores = n;
+      tracer_ = std::make_unique<trace::Tracer>(tc);
+      nic_->set_tracer(tracer_.get());
       opts.trace = tc;
     }
-    shards_ = std::make_unique<kernel::KernelShards>(config_, worker_threads_,
-                                                     opts);
-    {
-      base::MutexLock plock(producer_mutex_);
-      base::SerialGuard prod(shards_->producer());
-      shards_->start([this](int shard, kernel::ScapKernel& k) {
-        // Worker-side event drain: the shard kernel is serialized by the
-        // caller (batch lock); re-assert it for the analysis and dispatch
-        // onto the shard's own tracer ring.
-        base::SerialGuard serial(k.serial());
-        auto& q = k.events(0);
-        while (!q.empty()) {
-          kernel::Event ev = q.pop();
-          dispatch_event_on(k, shards_->tracer(shard), 0, ev);
-        }
-      });
-    }
-    started_ = true;
-    return;
   }
-  const int cores = config_.num_cores;
-  {
-    // No other thread exists in inline mode, but construction dereferences
-    // the guarded pointers (tracer attach); taking the uncontended lock
-    // once per capture keeps the capability story uniform.
-    base::MutexLock lock(kernel_mutex_);
-    nic_ = std::make_unique<nic::Nic>(cores);
-    kernel_ = std::make_unique<kernel::ScapKernel>(config_, nic_.get());
-    if (trace_capacity_ > 0) {
-      trace::TraceConfig tc;
-      tc.ring_capacity = trace_capacity_;
-      tc.cores = cores;
-      tracer_ = std::make_unique<trace::Tracer>(tc);
-      base::SerialGuard serial(kernel_->serial());
-      kernel_->set_tracer(tracer_.get());
-      nic_->set_tracer(tracer_.get());
+  // Built outside kernel_mutex_, which must never be taken before a shard
+  // lock (a callback holding its shard's lock may call stats()). Without
+  // workers this thread owns NIC and shard alike: the shard kernel
+  // programs FDIR directly and records on the capture tracer.
+  shards_ = worker_threads_ > 0
+                ? std::make_unique<kernel::KernelShards>(config_,
+                                                         worker_threads_, opts)
+                : std::make_unique<kernel::KernelShards>(config_, *nic,
+                                                         tracer_.get());
+  base::SerialGuard prod(shards_->producer());
+  shards_->start([this](int, kernel::ScapKernel& k) {
+    // Event drain on the shard's consumer, which serializes the kernel
+    // (batch lock); re-assert that for the analysis.
+    base::SerialGuard serial(k.serial());
+    auto& q = k.events(0);
+    while (!q.empty()) {
+      kernel::Event ev = q.pop();
+      dispatch_event_on(k, ev);
     }
-  }
+  });
   started_ = true;
 }
 
-void Capture::dispatch_event_on(kernel::ScapKernel& k, trace::Tracer* tracer,
-                                int trace_core, kernel::Event& ev) {
+void Capture::dispatch_event_on(kernel::ScapKernel& k, kernel::Event& ev) {
 #if defined(SCAP_ENABLE_TRACE)
-  if (tracer != nullptr) {
+  if (trace::Tracer* tracer = k.tracer(); tracer != nullptr) {
     // Dispatch is traced at the stream's last packet time — the simulated
     // clock of the event's cause — so the trace stays a pure function of
     // the input, independent of worker scheduling.
@@ -307,13 +280,10 @@ void Capture::dispatch_event_on(kernel::ScapKernel& k, trace::Tracer* tracer,
         ev.stream.stats.last_packet.ns() >= ev.stream.stats.first_packet.ns()
             ? ev.stream.stats.last_packet
             : ev.stream.stats.first_packet;
-    tracer->record(trace::TraceEventType::kEventDispatched, trace_core, ts,
+    tracer->record(trace::TraceEventType::kEventDispatched, /*core=*/0, ts,
                    ev.stream.id, static_cast<std::uint16_t>(ev.type),
                    static_cast<std::uint32_t>(ev.chunk.data.size()));
   }
-#else
-  (void)tracer;
-  (void)trace_core;
 #endif
   StreamView view(k, ev);
   if (apps_.empty()) {
@@ -359,149 +329,69 @@ void Capture::dispatch_event_on(kernel::ScapKernel& k, trace::Tracer* tracer,
   k.release_chunk(ev);
 }
 
-void Capture::drain_core_inline(int core) {
-  auto& q = kernel_->events(core);
-  while (!q.empty()) {
-    kernel::Event ev = q.pop();
-    dispatch_event_on(*kernel_, tracer_.get(), core, ev);
-  }
-}
-
-std::size_t Capture::poll() {
-  // In sharded mode the workers own dispatch; polling from outside would
-  // race them (stop() drains the final events itself).
-  SCAP_ASSERT(worker_threads_ == 0, "poll() is inline-mode only");
-  assert_serialized();
-  const std::uint64_t before =
-      events_dispatched_.load(std::memory_order_relaxed);
-  for (int c = 0; c < config_.num_cores; ++c) drain_core_inline(c);
-  return static_cast<std::size_t>(
-      events_dispatched_.load(std::memory_order_relaxed) - before);
-}
-
 void Capture::advance_ticks(Timestamp now) {
-  bool ticked = false;
   if (!ticks_started_) {
-    // Anchor the tick grid at the first packet's timestamp and push the
-    // first marker immediately: every shard's last-maintenance clock is
-    // then a pure function of the input timestamps, whatever the shard
-    // count — the property the bit-for-bit conservation tests rely on.
+    // Anchor the tick grid at the first host-bound packet's timestamp and
+    // push the first marker immediately: every shard's last-maintenance
+    // clock is then a pure function of the input timestamps, whatever the
+    // shard count — the property the bit-for-bit conservation tests rely
+    // on.
     ticks_started_ = true;
     last_tick_ = now;
     shards_->tick_all(now);
-    ticked = true;
   }
-  const Duration interval = config_.expiry_interval;
-  while (interval.ns() > 0 && now.ns() - last_tick_.ns() >= interval.ns()) {
-    last_tick_ = last_tick_ + interval;
+  while (tick_due(now)) {
+    last_tick_ = last_tick_ + config_.expiry_interval;
     shards_->tick_all(last_tick_);
-    ticked = true;
   }
-  if (ticked) {
-    // Same cadence for the FDIR crossing: drain worker-enqueued commands
-    // into the NIC and expire hardware filters.
-    base::MutexLock lock(kernel_mutex_);
-    shards_->service_fdir(*nic_, last_tick_);
-  }
+  // Same cadence for the FDIR crossing: drain worker-enqueued commands
+  // into the NIC and expire hardware filters.
+  base::MutexLock lock(kernel_mutex_);
+  shards_->service_fdir(*nic_, last_tick_);
 }
 
-kernel::PacketOutcome Capture::inject(const Packet& pkt) {
+void Capture::inject(const Packet& pkt) {
+  inject_batch(std::span<const Packet>(&pkt, 1));
+}
+
+void Capture::inject_batch(std::span<const Packet> pkts) {
   if (!started_) throw std::logic_error("scap: capture not started");
-  if (worker_threads_ > 0) {
-    base::MutexLock plock(producer_mutex_);
-    base::SerialGuard prod(shards_->producer());
-    last_ts_ = pkt.timestamp();
-    advance_ticks(pkt.timestamp());
-    nic::RxResult rx;
+  if (pkts.empty()) return;
+  base::MutexLock plock(producer_mutex_);
+  base::SerialGuard prod(shards_->producer());
+  last_ts_ = pkts.back().timestamp();
+  const Packet* next = pkts.data();
+  const Packet* const end = next + pkts.size();
+  for (;;) {
+    // One pass, under one bounded NIC critical section: classify each
+    // packet and stage the survivors, by pointer and in arrival order, with
+    // their RX queue (== shard index), up to the first survivor that must
+    // wait for a maintenance tick. The shards copy them in at hand-off. Only survivors' timestamps are read: an
+    // FDIR-dropped packet — most of a cutoff-heavy load — costs just the
+    // NIC lookup.
+    int due_queue = -1;
     {
       base::MutexLock lock(kernel_mutex_);
-      rx = nic_->receive(pkt);
-    }
-    if (rx.disposition == nic::RxDisposition::kDroppedByFilter) {
-      return kernel::PacketOutcome{};  // subzero: never reached the host
-    }
-    // RX queue == shard index (same symmetric RSS on both sides).
-    shards_->submit_to(rx.queue, pkt);
-    return kernel::PacketOutcome{};  // async: outcome lands in stats()
-  }
-  assert_serialized();
-  last_ts_ = pkt.timestamp();
-  const nic::RxResult rx = nic_->receive(pkt);
-  if (rx.disposition == nic::RxDisposition::kDroppedByFilter) {
-    return kernel::PacketOutcome{};  // subzero: never reached the host
-  }
-  kernel::PacketOutcome out =
-      kernel_->handle_packet(pkt, pkt.timestamp(), rx.queue);
-  drain_core_inline(rx.queue);
-  return out;
-}
-
-namespace {
-void accumulate(kernel::PacketOutcome& total,
-                const kernel::PacketOutcome& out) {
-  total.verdict = out.verdict;
-  total.stored_bytes += out.stored_bytes;
-  total.events += out.events;
-  total.created_stream = total.created_stream || out.created_stream;
-  total.terminated_stream = total.terminated_stream || out.terminated_stream;
-  total.fdir_updates += out.fdir_updates;
-}
-}  // namespace
-
-kernel::PacketOutcome Capture::inject_batch(std::span<const Packet> pkts) {
-  if (!started_) throw std::logic_error("scap: capture not started");
-  kernel::PacketOutcome total;
-  if (pkts.empty()) return total;
-  if (worker_threads_ > 0) {
-    base::MutexLock plock(producer_mutex_);
-    base::SerialGuard prod(shards_->producer());
-    last_ts_ = pkts.back().timestamp();
-    // Classify the whole batch under one bounded NIC critical section,
-    // then hand off ring-side — never holding kernel_mutex_ across a
-    // possible spin on a full shard ring.
-    rx_queues_.clear();
-    {
-      base::MutexLock lock(kernel_mutex_);
-      for (const Packet& pkt : pkts) {
-        const nic::RxResult rx = nic_->receive(pkt);
-        rx_queues_.push_back(
-            rx.disposition == nic::RxDisposition::kDroppedByFilter
-                ? -1
-                : rx.queue);
+      for (; next != end; ++next) {
+        const nic::RxResult rx = nic_->receive(*next);
+        if (rx.disposition == nic::RxDisposition::kDroppedByFilter) continue;
+        if (tick_due(next->timestamp())) {
+          due_queue = rx.queue;
+          break;
+        }
+        staged_.push_back({next, rx.queue});
       }
     }
-    // Submit in arrival order (ticks interleave at the exact timestamp
-    // boundaries); per-shard batching happens on the ring's consumer side.
-    for (std::size_t i = 0; i < pkts.size(); ++i) {
-      if (rx_queues_[i] < 0) continue;
-      advance_ticks(pkts[i].timestamp());
-      shards_->submit_to(rx_queues_[i], pkts[i]);
+    // Hand the run over — never under kernel_mutex_: with zero workers
+    // this runs the callbacks, with workers it may spin on a full ring.
+    if (!staged_.empty()) {
+      shards_->submit_run(staged_);
+      staged_.clear();
     }
-    return total;  // async: outcome lands in stats()
+    if (due_queue < 0) return;
+    advance_ticks(next->timestamp());
+    staged_.push_back({next++, due_queue});
   }
-  assert_serialized();
-  last_ts_ = pkts.back().timestamp();
-  // The NIC receives every packet, in order, before the kernel runs; the
-  // RSS/FDIR verdict buckets each packet to its queue so the kernel sees one
-  // contiguous batch per core.
-  if (batch_buckets_.size() < static_cast<std::size_t>(config_.num_cores)) {
-    batch_buckets_.resize(static_cast<std::size_t>(config_.num_cores));
-  }
-  for (const Packet& pkt : pkts) {
-    const nic::RxResult rx = nic_->receive(pkt);
-    if (rx.disposition == nic::RxDisposition::kDroppedByFilter) continue;
-    batch_buckets_[static_cast<std::size_t>(rx.queue)].push_back(pkt);
-  }
-  for (std::size_t q = 0; q < batch_buckets_.size(); ++q) {
-    auto& bucket = batch_buckets_[q];
-    if (bucket.empty()) continue;
-    const int core = static_cast<int>(q);
-    accumulate(total,
-               kernel_->handle_batch(bucket, bucket.front().timestamp(), core));
-    drain_core_inline(core);
-    bucket.clear();
-  }
-  return total;
 }
 
 std::uint64_t Capture::replay_pcap(const std::string& path) {
@@ -524,79 +414,43 @@ std::uint64_t Capture::replay_pcap(const std::string& path) {
 
 void Capture::stop() {
   if (!started_) return;
-  if (worker_threads_ > 0) {
-    base::MutexLock plock(producer_mutex_);
-    base::SerialGuard prod(shards_->producer());
-    // Flush + join workers, terminate every shard's remaining streams and
-    // run the final event drain (on this thread, via the drain hook).
-    shards_->stop(last_ts_);
-    {
-      // Apply the termination-time FDIR removals the shards enqueued.
-      base::MutexLock lock(kernel_mutex_);
-      shards_->service_fdir(*nic_, last_ts_);
-    }
-    started_ = false;
-    return;
+  base::MutexLock plock(producer_mutex_);
+  base::SerialGuard prod(shards_->producer());
+  // Flush + join workers, terminate every shard's remaining streams and
+  // run the final event drain (on this thread, via the drain hook).
+  shards_->stop(last_ts_);
+  {
+    // Apply the termination-time FDIR removals the shards enqueued.
+    base::MutexLock lock(kernel_mutex_);
+    shards_->service_fdir(*nic_, last_ts_);
   }
-  assert_serialized();
-  kernel_->terminate_all(last_ts_);
-  for (int c = 0; c < config_.num_cores; ++c) drain_core_inline(c);
   started_ = false;
 }
 
 std::string Capture::check_invariants() {
-  if (worker_threads_ > 0) {
-    return shards_ != nullptr ? shards_->check_invariants() : std::string();
-  }
-  assert_serialized();
-  return kernel_ != nullptr ? kernel_->check_invariants() : std::string();
+  return shards_ != nullptr ? shards_->check_invariants() : std::string();
 }
 
 CaptureStats Capture::stats() const {
-  // Branch on worker_threads_, which is immutable once the capture runs —
-  // a racy branch selector here (the old workers_.empty() read) was caught
-  // by the thread-safety analysis during annotation;
-  // ConcurrencySmoke.StatsInsideInlineCallback covers the inline side.
-  if (worker_threads_ > 0) {
-    CaptureStats s;
-    if (shards_ != nullptr) {
-      s.kernel = shards_->stats();
-      if (trace_capacity_ > 0) {
-        s.traced = true;
-        s.trace_events_recorded = shards_->trace_recorded();
-        s.trace_events_dropped = shards_->trace_dropped();
-        s.metrics = shards_->trace_metrics();
-      }
-    }
-    s.events_dispatched = events_dispatched_.load(std::memory_order_relaxed);
-    base::MutexLock lock(kernel_mutex_);
-    if (nic_) s.nic_dropped_by_filter = nic_->stats().dropped_by_filter;
-    if (tracer_) {
-      // Producer-side NIC events ride the capture-level tracer; fold them
-      // into the merged view.
-      s.trace_events_recorded += tracer_->recorded();
-      s.trace_events_dropped += tracer_->dropped();
-      s.metrics.merge(tracer_->metrics());
-    }
-    return s;
-  }
-  assert_serialized();
-  return stats_locked();
-}
-
-CaptureStats Capture::stats_locked() const {
   CaptureStats s;
-  if (kernel_) {
-    base::SerialGuard serial(kernel_->serial());
-    s.kernel = kernel_->stats();
+  if (shards_ != nullptr) {
+    s.kernel = shards_->stats();
+    if (trace_capacity_ > 0) {
+      s.traced = true;
+      s.trace_events_recorded = shards_->trace_recorded();
+      s.trace_events_dropped = shards_->trace_dropped();
+      s.metrics = shards_->trace_metrics();
+    }
   }
-  if (nic_) s.nic_dropped_by_filter = nic_->stats().dropped_by_filter;
   s.events_dispatched = events_dispatched_.load(std::memory_order_relaxed);
+  base::MutexLock lock(kernel_mutex_);
+  if (nic_) s.nic_dropped_by_filter = nic_->stats().dropped_by_filter;
   if (tracer_) {
-    s.traced = true;
-    s.trace_events_recorded = tracer_->recorded();
-    s.trace_events_dropped = tracer_->dropped();
-    s.metrics = tracer_->metrics();
+    // The capture tracer carries the NIC events (and, with zero workers,
+    // the kernel's too); fold it into the merged view.
+    s.trace_events_recorded += tracer_->recorded();
+    s.trace_events_dropped += tracer_->dropped();
+    s.metrics.merge(tracer_->metrics());
   }
   return s;
 }

@@ -4,28 +4,31 @@
 // dispatches creation/data/termination events to user callbacks, mirroring
 // the Scap stub of Figure 1.
 //
-// Two dispatch modes:
-//   * inline (worker_threads == 0, the default): a single ScapKernel;
-//     inject() processes the packet and synchronously runs every pending
-//     callback on the calling thread. Fully deterministic — the mode benches
-//     and tests use.
-//   * sharded (worker_threads >= 1): start() builds a KernelShards layer —
-//     one ScapKernel per worker core, each with private flow-table slabs,
-//     chunk allocator, PPL state and trace ring — and feeds it through
-//     lock-free SPSC rings. Symmetric RSS keeps both directions of a flow
-//     on one shard, so the per-packet worker path takes no shared lock
-//     (paper §4, DESIGN.md §12).
+// One datapath with N >= 0 worker threads (paper §4, DESIGN.md §12):
+// start() builds a KernelShards layer of max(N, 1) shards — one ScapKernel
+// per core with private flow-table slabs, chunk allocator, PPL state and
+// event queue. Symmetric RSS keeps both directions of a flow on one shard,
+// so the per-packet path takes no shared lock, and maintenance ticks ride
+// with the traffic, so the counts are the same at every N and for every
+// inject batching. With N >= 1 each shard has a worker thread fed through
+// a lock-free SPSC ring, its own trace ring and an FDIR command queue. With
+// N == 0 (the default, fully deterministic — the mode benches and tests
+// use) the injecting thread processes each run of packets itself and runs
+// the callbacks before inject() returns; the one shard kernel programs the
+// NIC directly and records on the capture-level tracer.
 //
-// Concurrency model in sharded mode (DESIGN.md §12): producer_mutex_ is the
-// outer capability backing the shards' single-producer domain — it
-// serializes inject()/inject_batch()/stop() end to end, including any spin
-// on a full shard ring. kernel_mutex_ is the inner lock guarding only the
-// producer-owned NIC and its tracer; its critical sections are bounded (RSS
-// classification, FDIR servicing, stats snapshot), so a worker callback may
-// call stats() — which takes kernel_mutex_ alone — without deadlocking
-// against a producer waiting out a full ring. Inline mode claims both
-// capabilities structurally (a single thread is trivially serialized). The
-// clang thread-safety analysis checks all of this on every clang build
+// Concurrency model (DESIGN.md §12): producer_mutex_ is the outer
+// capability backing the shards' single-producer domain — it serializes
+// inject()/inject_batch()/stop() end to end, including any spin on a full
+// shard ring (and, with zero workers, the callbacks). kernel_mutex_ is the
+// inner lock guarding the NIC and capture tracer against stats() readers;
+// its critical sections are bounded (RSS classification, FDIR servicing,
+// stats snapshot) and never run a callback, so a callback may call stats()
+// without deadlocking against its producer. With zero workers the shard
+// kernel also writes the NIC's filter table and the capture tracer from the
+// injecting thread, outside kernel_mutex_, so a traced zero-worker
+// capture's stats() belongs to that thread and its callbacks. The clang
+// thread-safety analysis checks all of this on every clang build
 // (-Wthread-safety, errors under SCAP_WERROR).
 //
 // Packet sources: inject() for programmatic feeds, replay_pcap() for traces.
@@ -62,7 +65,7 @@ enum class Parameter {
   kPriorityLevels,
   kAdaptiveCutoff,     // adaptive overload control: start cutoff (0 = off)
   kAdaptiveMinCutoff,  // adaptive overload control: tightening floor
-  kWorkerThreads,      // sharded-mode worker count (0 = inline), pre-start
+  kWorkerThreads,      // worker threads (0 = the injecting thread), pre-start
   kShardRingCapacity,  // per-shard SPSC ring slots, pre-start
   // Sharded-datapath robustness knobs (DESIGN.md §13), all pre-start:
   kRingHighWatermarkPct,  // ring admission high watermark, % of ring capacity
@@ -77,16 +80,15 @@ class Capture;
 
 /// The application's view of a stream inside a callback — the paper's
 /// stream_t as handed to handlers. Wraps the event's immutable snapshot and
-/// forwards per-stream control calls to the kernel that emitted the event
-/// (in sharded mode that is the stream's shard kernel — flow affinity means
-/// the stream lives there and nowhere else).
+/// forwards per-stream control calls to the kernel that emitted the event:
+/// the stream's shard kernel — flow affinity means the stream lives there
+/// and nowhere else.
 ///
 /// A StreamView only exists inside a dispatch callback, which always runs
-/// with the owning kernel's serial domain held (a worker holds its shard's
-/// batch lock; inline mode holds the capability structurally). The control
-/// methods assert exactly that before re-entering the kernel — the C API
-/// wrappers in capi.cpp cannot carry capability annotations across
-/// extern "C".
+/// with the owning kernel's serial domain held (its consumer holds the
+/// shard's batch lock). The control methods assert exactly that before
+/// re-entering the kernel — the C API wrappers in capi.cpp cannot carry
+/// capability annotations across extern "C".
 class StreamView {
  public:
   StreamView(kernel::ScapKernel& k, kernel::Event& ev) : k_(k), ev_(ev) {}
@@ -182,7 +184,7 @@ class Capture {
     config_.defaults.policy = p;
   }
   void set_defragment(bool on) { config_.defragment_ip = on; }
-  /// Per-shard SPSC ring slots (sharded mode; rounded up to a power of
+  /// Per-shard SPSC ring slots (with workers; rounded up to a power of
   /// two). Also reachable as Parameter::kShardRingCapacity.
   void set_shard_ring_capacity(std::size_t slots) {
     ring_capacity_ = slots > 0 ? slots : 1;
@@ -190,7 +192,7 @@ class Capture {
 
   /// Turn on event tracing (DESIGN.md §10) with one fixed-capacity ring per
   /// core. Must be called before start(): the trace's conservation laws
-  /// require the tracer to see every packet. In sharded mode each shard
+  /// require the tracer to see every packet. With workers each shard
   /// kernel gets its own single-ring tracer and the capture-level tracer
   /// (tracer()) carries only the producer-side NIC events; stats() presents
   /// the merged totals. With SCAP_TRACE=OFF builds the tracers still exist
@@ -198,9 +200,9 @@ class Capture {
   /// empty.
   void enable_tracing(std::size_t ring_capacity = 1 << 16);
 
-  /// The capture-level tracer, or nullptr: the full per-core trace in
-  /// inline mode, the NIC-event trace in sharded mode (per-shard kernel
-  /// traces live on shards()->tracer(i)). The pointee is SCAP_PT_GUARDED_BY
+  /// The capture-level tracer, or nullptr: the whole trace with zero
+  /// workers, the NIC-event trace with workers (per-shard kernel traces
+  /// live on shards()->tracer(i)). The pointee is SCAP_PT_GUARDED_BY
   /// (kernel_mutex_): the producer records NIC events holding that mutex,
   /// so dereference only after stop(). The raw pointer returned here
   /// escapes the analysis — treat it as borrowed under the same rule.
@@ -227,25 +229,20 @@ class Capture {
   int add_application(const std::string& bpf_filter, AppHandlers handlers);
 
   // --- capture lifecycle ------------------------------------------------------
-  /// Instantiate NIC + kernel datapath and (in sharded mode) start the
-  /// per-shard workers.
+  /// Instantiate NIC + shards and start the worker threads, if any.
   void start() SCAP_EXCLUDES(kernel_mutex_, producer_mutex_);
 
-  /// Feed one packet (timestamp taken from the packet). Inline mode returns
-  /// the NIC/kernel outcome for instrumentation; sharded mode hands the
-  /// packet to its shard's ring and returns a default outcome (processing
-  /// is asynchronous — totals land in stats()).
-  kernel::PacketOutcome inject(const Packet& pkt)
-      SCAP_EXCLUDES(kernel_mutex_, producer_mutex_);
+  /// Feed one packet (timestamp taken from the packet): inject_batch() of
+  /// one.
+  void inject(const Packet& pkt) SCAP_EXCLUDES(kernel_mutex_, producer_mutex_);
 
-  /// Feed a batch of packets: each is received by the NIC in order, then
-  /// processed per RSS queue through handle_batch (amortized maintenance
-  /// check + flow-lookup prefetch) — inline mode batches per queue itself,
-  /// sharded mode lets each shard's ring/pop_batch do it. Event callbacks
-  /// run after the whole batch in inline mode; FDIR filters installed while
-  /// processing a batch take effect from a later batch. Returns the
-  /// aggregate outcome (inline; default-constructed when sharded).
-  kernel::PacketOutcome inject_batch(std::span<const Packet> pkts)
+  /// Feed a batch of packets. Between maintenance ticks the NIC classifies
+  /// each packet in order and stages the survivors; the shards then get
+  /// the run at once — processed right here with zero workers (one
+  /// handle_batch, events dispatched before returning), pushed onto the
+  /// rings otherwise. FDIR filters installed while a run is processed
+  /// take effect from the next run. Results land in stats().
+  void inject_batch(std::span<const Packet> pkts)
       SCAP_EXCLUDES(kernel_mutex_, producer_mutex_);
 
   /// Replay a pcap file through the capture in inject_batch-sized batches.
@@ -257,38 +254,37 @@ class Capture {
   SCAP_COLD std::uint64_t replay_pcap(const std::string& path)
       SCAP_EXCLUDES(kernel_mutex_, producer_mutex_);
 
-  /// Dispatch pending events on the calling thread. Inline mode only (in
-  /// sharded mode the workers dispatch as packets arrive; asserted).
-  /// Returns events dispatched.
-  std::size_t poll() SCAP_EXCLUDES(kernel_mutex_);
-
   /// Flush all remaining streams, dispatch final events, join workers.
   SCAP_COLD void stop() SCAP_EXCLUDES(kernel_mutex_, producer_mutex_);
 
-  /// Snapshot of kernel + NIC + dispatch counters. Safe to call from a
-  /// monitoring thread — and, in sharded mode, from inside a dispatch
-  /// callback on a worker — while the capture runs: the sharded path reads
-  /// the shards' post-batch snapshots and takes only kernel_mutex_ (bounded
-  /// producer critical sections) for the NIC counters.
+  /// Snapshot of kernel + NIC + dispatch counters, safe to call from
+  /// inside a dispatch callback: it reads the shards' per-batch snapshots
+  /// (published before each event drain) and takes only kernel_mutex_
+  /// (bounded producer critical sections) for the NIC counters. With
+  /// workers it is also safe from a monitoring thread while the capture
+  /// runs (see the concurrency notes above for zero workers).
   CaptureStats stats() const SCAP_EXCLUDES(kernel_mutex_);
 
-  /// Conservation suite over the whole datapath: the single kernel inline,
-  /// or every shard plus the shard-aggregated stats in sharded mode.
-  /// Returns "" when every law holds.
+  /// Conservation suite over every shard plus the shard-aggregated stats.
+  /// Returns "" when every law holds. Locks each shard: not from inside a
+  /// dispatch callback.
   std::string check_invariants() SCAP_EXCLUDES(kernel_mutex_);
 
   /// Direct kernel/NIC access for single-threaded drivers (tests, benches,
   /// chaos_run). These assert the serialization capabilities rather than
   /// take the lock — never call them while workers are live. kernel() is
-  /// inline-mode only (sharded captures have one kernel per shard: use
-  /// shards()).
+  /// the capture's kernel when it has exactly one shard, as a zero-worker
+  /// capture does (with more, use shards()).
   kernel::ScapKernel& kernel() {
     assert_serialized();
-    return *kernel_;
+    SCAP_ASSERT(has_kernel(), "kernel() needs a started one-shard capture");
+    return shards_->kernel(0);
   }
-  bool has_kernel() const { return kernel_ != nullptr; }
-  /// The sharded datapath, or nullptr in inline mode / before start().
-  /// KernelShards is internally synchronized; see its own locking notes.
+  bool has_kernel() const {
+    return shards_ != nullptr && shards_->num_shards() == 1;
+  }
+  /// The datapath, or nullptr before start(). KernelShards is internally
+  /// synchronized; see its own locking notes.
   kernel::KernelShards* shards() { return shards_.get(); }
   nic::Nic& nic() {
     assert_serialized();
@@ -301,26 +297,25 @@ class Capture {
  private:
   friend class StreamView;
 
-  /// Claim kernel_mutex_ and the inline kernel's serial domain
-  /// structurally: in inline mode a single thread does all processing.
-  /// Zero runtime cost — the assertion exists for the thread-safety
-  /// analysis. Sharded-mode code paths take the real locks instead.
-  void assert_serialized() const
-      SCAP_ASSERT_CAPABILITY(kernel_mutex_, kernel_->serial()) {}
+  /// Claim kernel_mutex_ structurally for the single-threaded callers of
+  /// kernel()/nic(). Zero runtime cost — the assertion exists for the
+  /// thread-safety analysis; the datapath takes the real locks.
+  void assert_serialized() const SCAP_ASSERT_CAPABILITY(kernel_mutex_) {}
 
-  /// Dispatch one event from kernel `k`, recording kEventDispatched on
-  /// `tracer` ring `trace_core` when tracing. Runs the user handlers, then
-  /// returns the chunk accounting to `k`. Inline mode passes the capture
-  /// kernel and tracer; the sharded drain hook passes the shard's.
-  void dispatch_event_on(kernel::ScapKernel& k, trace::Tracer* tracer,
-                         int trace_core, kernel::Event& ev)
+  /// Dispatch one event from kernel `k`, recording kEventDispatched on the
+  /// kernel's own tracer when tracing. Runs the user handlers, then returns
+  /// the chunk accounting to `k`.
+  void dispatch_event_on(kernel::ScapKernel& k, kernel::Event& ev)
       SCAP_REQUIRES(k.serial());
-  void drain_core_inline(int core)
-      SCAP_REQUIRES(kernel_mutex_, kernel_->serial());
-  /// Counter snapshot under the capability; takes the kernel's SerialGuard
-  /// internally once it knows kernel_ is non-null. Inline mode only.
-  CaptureStats stats_locked() const SCAP_REQUIRES(kernel_mutex_);
-  /// Sharded producer: push in-band maintenance markers for every
+  /// True when a packet at `now` that passed the NIC must wait for a
+  /// maintenance tick before it reaches its shard.
+  bool tick_due(Timestamp now) const SCAP_REQUIRES(producer_mutex_) {
+    return !ticks_started_ || (config_.expiry_interval.ns() > 0 &&
+                               now.ns() - last_tick_.ns() >=
+                                   config_.expiry_interval.ns());
+  }
+  /// Called when tick_due(now) for `now`, the timestamp of a packet that
+  /// passed the NIC: push in-band maintenance markers for every
   /// expiry_interval boundary crossed up to `now` (before the packets that
   /// carry those timestamps — the ordering that makes shard expiry equal a
   /// single-core replay), and service the FDIR command queue + hardware
@@ -330,7 +325,7 @@ class Capture {
 
   std::string device_;
   kernel::KernelConfig config_;
-  int worker_threads_ = 0;   // immutable once start() ran (branch selector)
+  int worker_threads_ = 0;   // immutable once start() ran
   bool started_ = false;     // driver-thread only
   Timestamp last_ts_;        // driver/producer thread only
 
@@ -339,26 +334,24 @@ class Capture {
   StreamHandler on_terminated_;
   std::vector<AppHandlers> apps_;
 
-  // The pointees are shared across threads in sharded mode; the pointers
-  // themselves are written once in start() (before any worker exists) and
-  // cleared never, so reading the pointer is always safe while every
-  // dereference needs kernel_mutex_.
+  // The pointees are shared with stats() readers; the pointers themselves
+  // are written once in start() (before any worker exists) and cleared
+  // never, so reading the pointer is always safe while every dereference
+  // needs kernel_mutex_.
   std::unique_ptr<nic::Nic> nic_ SCAP_PT_GUARDED_BY(kernel_mutex_);
-  std::unique_ptr<kernel::ScapKernel> kernel_ SCAP_PT_GUARDED_BY(kernel_mutex_);
   std::unique_ptr<trace::Tracer> tracer_ SCAP_PT_GUARDED_BY(kernel_mutex_);
   std::size_t trace_capacity_ = 0;  // 0 = tracing off
   std::size_t ring_capacity_ = 4096;  // per-shard SPSC ring slots
-  std::vector<std::vector<Packet>> batch_buckets_;  // inline per-queue buckets
 
-  // Sharded-mode machinery. shards_ is written once in start() and is
-  // internally synchronized (per-shard locks + snapshots), so it carries no
-  // guard annotation; the producer-only entry points require its
-  // SerialDomain, which producer_mutex_ backs.
+  // The datapath. shards_ is written once in start() and is internally
+  // synchronized (per-shard locks + snapshots), so it carries no guard
+  // annotation; the producer-only entry points require its SerialDomain,
+  // which producer_mutex_ backs.
   std::unique_ptr<kernel::KernelShards> shards_;
 
-  /// Sharded-datapath robustness policy (DESIGN.md §13), staged by
-  /// set_parameter and translated into KernelShards::Options at start()
-  /// (percentages become ring slots once the ring capacity is final).
+  /// Ring robustness policy (DESIGN.md §13), staged by set_parameter and
+  /// translated into KernelShards::Options at start() (percentages become
+  /// ring slots once the ring capacity is final).
   /// Guarded by producer_mutex_ — the same capability that orders every
   /// producer-side decision these knobs feed.
   struct RingPolicy {
@@ -372,7 +365,8 @@ class Capture {
   mutable base::Mutex kernel_mutex_;    // inner; NIC + capture tracer
   Timestamp last_tick_ SCAP_GUARDED_BY(producer_mutex_);
   bool ticks_started_ SCAP_GUARDED_BY(producer_mutex_) = false;
-  std::vector<int> rx_queues_ SCAP_GUARDED_BY(producer_mutex_);
+  /// The current run's NIC survivors, pointing into the caller's batch.
+  std::vector<kernel::SteeredPacket> staged_ SCAP_GUARDED_BY(producer_mutex_);
   std::atomic<std::uint64_t> events_dispatched_{0};
 };
 

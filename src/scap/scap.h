@@ -57,7 +57,8 @@ constexpr int SCAP_PARAM_PRIORITY_LEVELS = 6;
 constexpr int SCAP_PARAM_ADAPTIVE_CUTOFF = 7;
 constexpr int SCAP_PARAM_ADAPTIVE_MIN_CUTOFF = 8;
 // Multi-core sharded datapath (DESIGN.md §12), pre-start only: worker
-// count (0 = inline dispatch) and per-shard SPSC ring slots.
+// count (0 = one shard driven by the injecting thread, callbacks before
+// scap_inject returns) and per-shard SPSC ring slots (with workers).
 constexpr int SCAP_PARAM_WORKERS = 9;
 constexpr int SCAP_PARAM_RING_CAPACITY = 10;
 // Overload/failure robustness of the sharded datapath (DESIGN.md §13),

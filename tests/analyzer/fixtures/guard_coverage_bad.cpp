@@ -36,10 +36,9 @@ class Capture {
   class SCAP_CAPABILITY("mutex") Mutex {} kernel_mutex_;
   Mutex producer_mutex_;
   int* nic_ SCAP_PT_GUARDED_BY(kernel_mutex_) = nullptr;
-  int* kernel_ SCAP_PT_GUARDED_BY(kernel_mutex_) = nullptr;
   int* tracer_ SCAP_PT_GUARDED_BY(kernel_mutex_) = nullptr;
   long last_tick_ = 0;  // expect: guard-coverage
-  int* rx_queues_ SCAP_GUARDED_BY(producer_mutex_) = nullptr;
+  int* staged_ SCAP_GUARDED_BY(producer_mutex_) = nullptr;
   struct RingPolicy {};
   RingPolicy ring_policy_;  // expect: guard-coverage
   unsigned long events_dispatched_ = 0;  // unannotated atomic: fine now

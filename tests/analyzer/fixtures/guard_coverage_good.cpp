@@ -34,10 +34,9 @@ class Capture {
   class SCAP_CAPABILITY("mutex") Mutex {} kernel_mutex_;
   Mutex producer_mutex_;
   int* nic_ SCAP_PT_GUARDED_BY(kernel_mutex_) = nullptr;
-  int* kernel_ SCAP_PT_GUARDED_BY(kernel_mutex_) = nullptr;
   int* tracer_ SCAP_PT_GUARDED_BY(kernel_mutex_) = nullptr;
   long last_tick_ SCAP_GUARDED_BY(producer_mutex_) = 0;
-  int* rx_queues_ SCAP_GUARDED_BY(producer_mutex_) = nullptr;
+  int* staged_ SCAP_GUARDED_BY(producer_mutex_) = nullptr;
   struct RingPolicy {};
   RingPolicy ring_policy_ SCAP_GUARDED_BY(producer_mutex_);
   unsigned long events_dispatched_ = 0;  // unannotated atomic: fine

@@ -1,8 +1,9 @@
 // Overload- and failure-robustness of the sharded datapath (DESIGN.md §13):
 // the worker-stall watchdog (fatal and degrade policies), the PPL-mirroring
-// watermark admission ladder, bounded stop(), and apply-time FDIR counting
-// in queue mode. Everything here drives KernelShards directly with explicit
-// shard targeting and a manual tick grid, so every verdict is deterministic.
+// watermark admission ladder, bounded stop(), apply-time FDIR counting in
+// queue mode, and a full ring with no worker to drain it. Everything here
+// drives KernelShards directly with explicit shard targeting and a manual
+// tick grid, so every verdict is deterministic.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -348,6 +349,32 @@ TEST(ShardFdir, AppliedCountsMatchHardwareOutcomes) {
     EXPECT_EQ(s.check_conservation(), "");
     shards.stop(t0 + Duration::from_sec(1));
   }
+}
+
+// --- full ring without a worker ---------------------------------------------
+
+// Before start() (and after stop()) no worker consumes the rings, so the
+// producer is the only consumer there is: a full ring must be drained on
+// the submitting thread, not waited out forever.
+TEST(ShardRing, FullRingWithoutWorkerDrainsOnSubmit) {
+  KernelConfig cfg;
+  cfg.memory_size = 8 << 20;
+  KernelShards::Options opts;
+  opts.ring_capacity = 2;
+
+  KernelShards shards(cfg, /*num_shards=*/1, opts);
+  base::SerialGuard prod(shards.producer());
+  const Timestamp t0 = Timestamp(1'000'000'000);
+  for (std::uint16_t i = 0; i < 5; ++i) {
+    shards.submit(packet_for(static_cast<std::uint16_t>(1000 + i),
+                             t0 + Duration::from_usec(i)));
+  }
+  EXPECT_EQ(shards.check_invariants(), "");
+  shards.start({});
+  shards.stop(t0 + Duration::from_sec(1));
+  const KernelStats s = shards.stats();
+  EXPECT_EQ(s.pkts_seen, 5u);
+  EXPECT_EQ(shards.check_invariants(), "");
 }
 
 }  // namespace

@@ -84,13 +84,12 @@ WATCHED_ENUMS = (
 REQUIRED_GUARDS = {
     "scap::Capture": {
         "nic_": "SCAP_PT_GUARDED_BY",
-        "kernel_": "SCAP_PT_GUARDED_BY",
         "tracer_": "SCAP_PT_GUARDED_BY",
         # events_dispatched_ became a plain atomic in the sharded rework
-        # (workers bump it outside any lock); the producer-side tick state
-        # is pinned to the producer mutex instead.
+        # (workers bump it outside any lock); the producer-side tick and
+        # per-shard staging state is pinned to the producer mutex instead.
         "last_tick_": "SCAP_GUARDED_BY",
-        "rx_queues_": "SCAP_GUARDED_BY",
+        "staged_": "SCAP_GUARDED_BY",
         # Ring admission / watchdog knobs: written by set_parameter before
         # start(), read when start() translates them to shard options.
         "ring_policy_": "SCAP_GUARDED_BY",
