@@ -1,12 +1,26 @@
 // Aho-Corasick multi-pattern matching (paper §6.5 uses it for the NIDS-style
 // workload with 2,120 Snort web-attack content strings).
 //
-// Dense goto tables per node (256-wide) built over a byte trie with BFS
-// failure links, giving O(1) per scanned byte. Supports both whole-buffer
-// scans and streaming scans that carry state across chunk boundaries (what
-// the paper's `overlap` chunk option otherwise compensates for).
+// The goto function is a dense table with the BFS failure links folded in,
+// so each scanned byte costs one table load. Three things keep it small and
+// cheap:
+//  - Byte classes. Bytes that occur in no pattern share class 0, and every
+//    byte that does occur gets a class of its own, so a row holds one entry
+//    per class instead of 256 (at most 256 classes, for a corpus that uses
+//    every byte value).
+//  - Pre-multiplied states. A state is its row offset (node * classes), so
+//    the root is 0 and a step is one add and one load. The top bit of a
+//    table entry flags "this state has outputs"; the output lists are read
+//    only when it is set.
+//  - Root skip. While the automaton sits at the root it advances over bytes
+//    whose root transition is the root, looking them up eight at a time in a
+//    256-entry "leaves root" table; the serial state chain starts at the
+//    first byte that leaves the root.
+// Streaming scans carry the state across chunk boundaries (what the paper's
+// `overlap` chunk option otherwise compensates for).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -27,7 +41,8 @@ class AhoCorasick {
     build(patterns);
   }
 
-  /// (Re)build the automaton. Empty patterns are ignored.
+  /// (Re)build the automaton. Empty patterns are ignored. Throws
+  /// std::length_error if a state offset would not fit in 31 bits.
   void build(const std::vector<std::string>& patterns);
 
   /// Scan a buffer from the root state; returns total matches.
@@ -45,10 +60,18 @@ class AhoCorasick {
   std::size_t state_count() const { return nodes_; }
 
  private:
+  static constexpr std::uint32_t kOutputFlag = 0x80000000u;
+  static constexpr std::uint32_t kNoOutput = 0xffffffffu;
+
   std::uint32_t nodes_ = 0;
-  // goto_[state * 256 + byte] = next state (failure links precomputed in).
-  std::vector<std::uint32_t> goto_;
-  // out_heads_[state] = index into out_lists_ (or kNoOutput).
+  std::uint32_t classes_ = 0;
+  std::array<std::uint8_t, 256> class_of_{};
+  // leaves_root_[byte] != 0 iff the root's transition on `byte` is not root.
+  std::array<std::uint8_t, 256> leaves_root_{};
+  // delta_[state + class_of_[byte]] = next state, kOutputFlag set when the
+  // next state has outputs.
+  std::vector<std::uint32_t> delta_;
+  // out_heads_[node] = index into out_links_ (or kNoOutput).
   std::vector<std::uint32_t> out_heads_;
   // Flattened output lists: (pattern index, next index) chains.
   struct OutLink {
@@ -57,8 +80,6 @@ class AhoCorasick {
   };
   std::vector<OutLink> out_links_;
   std::vector<std::uint32_t> pattern_lengths_;
-
-  static constexpr std::uint32_t kNoOutput = 0xffffffffu;
 };
 
 }  // namespace scap::match

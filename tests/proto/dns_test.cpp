@@ -24,7 +24,7 @@ std::vector<std::uint8_t> query_bytes() {
 
 /// Response with a compression pointer back to the question name.
 std::vector<std::uint8_t> response_bytes() {
-  std::vector<std::uint8_t> b = {
+  return {
       0x12, 0x34,
       0x81, 0x80,              // QR, RD, RA, rcode 0
       0x00, 0x01,              // qdcount
@@ -33,13 +33,11 @@ std::vector<std::uint8_t> response_bytes() {
       3,    'w',  'w',  'w',  7, 'e', 'x', 'a', 'm', 'p', 'l', 'e',
       3,    'c',  'o',  'm',  0,
       0x00, 0x01, 0x00, 0x01,
+      // Answer: pointer to offset 12, type A, class IN, TTL 300, rdlen 4.
+      0xc0, 12,   0x00, 0x01, 0x00, 0x01,
+      0x00, 0x00, 0x01, 0x2c, 0x00, 0x04,
+      93,   184,  216,  34,
   };
-  // Answer: pointer to offset 12, type A, class IN, TTL 300, rdlen 4.
-  const std::uint8_t answer[] = {0xc0, 12,   0x00, 0x01, 0x00, 0x01,
-                                 0x00, 0x00, 0x01, 0x2c, 0x00, 0x04,
-                                 93,   184,  216,  34};
-  b.insert(b.end(), answer, answer + sizeof(answer));
-  return b;
 }
 
 TEST(Dns, ParsesQuery) {

@@ -46,6 +46,8 @@ bool stream_scoped(TraceEventType t) {
     case TraceEventType::kPplWatermark:
     case TraceEventType::kPplCutoffChange:
     case TraceEventType::kMaintenanceTick:
+    case TraceEventType::kRingShed:
+    case TraceEventType::kWorkerStall:
       return false;
   }
   return false;
