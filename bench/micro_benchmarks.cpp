@@ -13,6 +13,7 @@
 #include "kernel/reassembly.hpp"
 #include "match/aho_corasick.hpp"
 #include "match/corpus.hpp"
+#include "nic/fdir.hpp"
 #include "nic/rss.hpp"
 #include "packet/craft.hpp"
 
@@ -46,6 +47,45 @@ void BM_ToeplitzHash(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ToeplitzHash);
+
+// The table-driven engine the NIC model runs per packet (canonical order,
+// 12 table loads, modulo) — compare with the bit-serial reference above.
+void BM_RssQueueFor(benchmark::State& state) {
+  const nic::RssEngine rss(symmetric_rss_key(), 4);
+  FiveTuple t{0x0a000001, 0x0a000002, 40000, 80, kProtoTcp};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rss.queue_for(t));
+    t.src_ip++;
+  }
+}
+BENCHMARK(BM_RssQueueFor);
+
+// FDIR match on a table holding ~6000 filters (3000 streams' pair of
+// cutoff filters). Arg 1: every packet hits a drop filter. Arg 0: the
+// tuples have no filter, the common case for packets that reach the host.
+void BM_FdirMatch(benchmark::State& state) {
+  const bool hit = state.range(0) != 0;
+  constexpr std::uint32_t kStreams = 3000;
+  nic::FdirTable table;
+  std::vector<Packet> pkts;
+  for (std::uint32_t i = 0; i < kStreams; ++i) {
+    const FiveTuple t{0x0a000000 + i, 0xc0a80001,
+                      static_cast<std::uint16_t>(1024 + i), 80, kProtoTcp};
+    for (const auto& f : nic::make_cutoff_filters(t, Timestamp::from_sec(60))) {
+      table.add(f);
+    }
+    TcpSegmentSpec spec;
+    spec.tuple = hit ? t : t.reversed();
+    spec.flags = kTcpAck;
+    pkts.push_back(make_tcp_packet(spec, Timestamp(0)));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.match(pkts[i % pkts.size()]));
+    ++i;
+  }
+}
+BENCHMARK(BM_FdirMatch)->ArgName("hit")->Arg(0)->Arg(1);
 
 void BM_TcpReassemblyInOrder(benchmark::State& state) {
   const std::size_t seg = static_cast<std::size_t>(state.range(0));

@@ -2,15 +2,6 @@
 
 namespace scap {
 
-std::uint64_t fnv1a(std::span<const std::byte> data, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  for (std::byte b : data) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 RssKey default_rss_key() {
   return RssKey{0x6d, 0x5a, 0x56, 0xda, 0x25, 0x5b, 0x0e, 0xc2, 0x41, 0x67,
                 0x25, 0x3d, 0x43, 0xa3, 0x8f, 0xb0, 0xd0, 0xca, 0x2b, 0xcb,

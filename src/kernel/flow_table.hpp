@@ -133,13 +133,7 @@ class FlowTable {
 
   /// Seeded hash of a tuple — the value cached in slots and records.
   SCAP_HOT std::uint64_t hash_of(const FiveTuple& t) const {
-    // Field-wise hashing: hashing the struct's raw bytes would include
-    // indeterminate padding.
-    std::uint64_t h = mix64(seed_ ^ t.src_ip);
-    h = mix64(h ^ t.dst_ip);
-    h = mix64(h ^ (static_cast<std::uint64_t>(t.src_port) << 32) ^
-              (static_cast<std::uint64_t>(t.dst_port) << 16) ^ t.protocol);
-    return h;
+    return hash_tuple(t, seed_);
   }
 
   /// Prefetch the probe window for a tuple hash (batched ingest runs this

@@ -1,20 +1,19 @@
 #include "nic/fdir.hpp"
 
 #include "base/bytes.hpp"
-#include "base/hash.hpp"
 #include "faultinject/faultinject.hpp"
 
 namespace scap::nic {
 
-std::uint64_t FdirTable::tuple_key(const FiveTuple& t) {
-  struct Key {
-    std::uint32_t a, b;
-    std::uint16_t c, d;
-    std::uint8_t e;
-    std::uint8_t pad[3];
-  } key{t.src_ip, t.dst_ip, t.src_port, t.dst_port, t.protocol, {0, 0, 0}};
-  return fnv1a_of(key);
+namespace {
+
+// Ids pack the slot in the low half and its generation in the high half;
+// generations start at 1, so a live id is never 0.
+std::uint64_t make_id(std::uint32_t slot, std::uint32_t gen) {
+  return (static_cast<std::uint64_t>(gen) << 32) | slot;
 }
+
+}  // namespace
 
 std::uint64_t FdirTable::add(const FdirFilter& filter,
                              std::optional<FdirFilter>* evicted) {
@@ -25,68 +24,109 @@ std::uint64_t FdirTable::add(const FdirFilter& filter,
     ++add_failures_;
     return 0;
   }
-  if (by_id_.size() >= capacity_) {
+  // A steering target the NIC does not have: the hardware would reject
+  // the programming, so the filter is not installed.
+  if (filter.action == FdirAction::kToQueue &&
+      (filter.queue < 0 || filter.queue >= num_queues_)) {
+    ++add_failures_;
+    return 0;
+  }
+  if (size_ >= capacity_) {
     // Evict the filter closest to expiry.
-    auto soon = by_timeout_.begin();
-    if (soon == by_timeout_.end()) {
+    if (by_timeout_.empty()) {
       ++add_failures_;  // capacity 0: nothing to evict, nothing to install
       return 0;
     }
-    auto it = by_id_.find(soon->second);
-    if (evicted && it != by_id_.end()) *evicted = it->second.filter;
-    if (it != by_id_.end()) erase_entry(it);
+    const std::uint32_t victim = by_timeout_.begin()->second;
+    if (evicted) *evicted = slab_[victim].filter;
+    release(victim);
     ++evictions_;
   }
-  const std::uint64_t id = next_id_++;
-  auto timeout_it = by_timeout_.emplace(filter.expires.ns(), id);
-  by_id_.emplace(id, Entry{filter, timeout_it});
-  by_tuple_[tuple_key(filter.tuple)].push_back(id);
-  return id;
+  std::uint32_t slot = free_head_;
+  if (slot != kNil) {
+    free_head_ = slab_[slot].next;
+  } else {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.emplace_back();
+  }
+  Entry& e = slab_[slot];
+  e.filter = filter;
+  e.timeout_it = by_timeout_.emplace(filter.expires.ns(), slot);
+  e.live = true;
+  ++size_;
+  if (size_ > buckets_.size()) grow_buckets();
+  append_to_chain(slot);
+  return make_id(slot, e.gen);
 }
 
-void FdirTable::erase_entry(
-    std::unordered_map<std::uint64_t, Entry>::iterator it) {
-  const std::uint64_t id = it->first;
-  by_timeout_.erase(it->second.timeout_it);
-  auto& ids = by_tuple_[tuple_key(it->second.filter.tuple)];
-  std::erase(ids, id);
-  if (ids.empty()) by_tuple_.erase(tuple_key(it->second.filter.tuple));
-  by_id_.erase(it);
+void FdirTable::append_to_chain(std::uint32_t slot) {
+  slab_[slot].next = kNil;
+  std::uint32_t* link = &buckets_[bucket_of(slab_[slot].filter.tuple)];
+  while (*link != kNil) link = &slab_[*link].next;
+  *link = slot;
+}
+
+void FdirTable::grow_buckets() {
+  // Called as size_ first exceeds the bucket count: doubling restores
+  // load <= 1.
+  const std::vector<std::uint32_t> old = std::move(buckets_);
+  buckets_.assign(old.empty() ? kMinBuckets : old.size() * 2, kNil);
+  // Re-link chain by chain, in chain order: filters of one tuple share an
+  // old chain, so their install order carries over to the new one.
+  for (std::uint32_t head : old) {
+    for (std::uint32_t i = head; i != kNil;) {
+      const std::uint32_t next = slab_[i].next;
+      append_to_chain(i);
+      i = next;
+    }
+  }
+}
+
+void FdirTable::release(std::uint32_t slot) {
+  Entry& e = slab_[slot];
+  std::uint32_t* link = &buckets_[bucket_of(e.filter.tuple)];
+  while (*link != slot) link = &slab_[*link].next;
+  *link = e.next;
+  by_timeout_.erase(e.timeout_it);
+  e.live = false;
+  if (++e.gen == 0) e.gen = 1;
+  e.next = free_head_;
+  free_head_ = slot;
+  --size_;
 }
 
 bool FdirTable::remove(std::uint64_t id) {
-  auto it = by_id_.find(id);
-  if (it == by_id_.end()) return false;
-  erase_entry(it);
+  const std::uint64_t slot = id & 0xffffffffu;
+  if (slot >= slab_.size()) return false;
+  const Entry& e = slab_[slot];
+  if (!e.live || e.gen != (id >> 32)) return false;
+  release(static_cast<std::uint32_t>(slot));
   return true;
 }
 
 std::size_t FdirTable::remove_tuple(const FiveTuple& tuple) {
-  auto t = by_tuple_.find(tuple_key(tuple));
-  if (t == by_tuple_.end()) return 0;
-  // Copy: erase_entry mutates the by_tuple_ vector.
-  const std::vector<std::uint64_t> ids = t->second;
+  if (size_ == 0) return 0;
   std::size_t removed = 0;
-  for (std::uint64_t id : ids) {
-    auto it = by_id_.find(id);
-    if (it != by_id_.end() && it->second.filter.tuple == tuple) {
-      erase_entry(it);
+  for (std::uint32_t i = buckets_[bucket_of(tuple)]; i != kNil;) {
+    const std::uint32_t next = slab_[i].next;
+    if (slab_[i].filter.tuple == tuple) {
+      release(i);
       ++removed;
     }
+    i = next;
   }
   return removed;
 }
 
 const FdirFilter* FdirTable::match(const Packet& pkt) const {
-  auto t = by_tuple_.find(tuple_key(pkt.tuple()));
-  if (t == by_tuple_.end()) return nullptr;
-  const auto frame = pkt.frame();
-  for (std::uint64_t id : t->second) {
-    auto it = by_id_.find(id);
-    if (it == by_id_.end()) continue;
-    const FdirFilter& f = it->second.filter;
-    if (!(f.tuple == pkt.tuple())) continue;  // hash collision guard
+  if (size_ == 0) return nullptr;
+  const FiveTuple& tuple = pkt.tuple();
+  for (std::uint32_t i = buckets_[bucket_of(tuple)]; i != kNil;
+       i = slab_[i].next) {
+    const FdirFilter& f = slab_[i].filter;
+    if (!(f.tuple == tuple)) continue;
     if (f.has_flex) {
+      const auto frame = pkt.frame();
       if (frame.size() < static_cast<std::size_t>(f.flex_offset) + 2) continue;
       const std::uint16_t halfword = load_be16(frame.data() + f.flex_offset);
       if ((halfword & f.flex_mask) != (f.flex_value & f.flex_mask)) continue;
@@ -99,13 +139,9 @@ const FdirFilter* FdirTable::match(const Packet& pkt) const {
 std::vector<FdirFilter> FdirTable::expire(Timestamp now) {
   std::vector<FdirFilter> expired;
   while (!by_timeout_.empty() && by_timeout_.begin()->first <= now.ns()) {
-    auto it = by_id_.find(by_timeout_.begin()->second);
-    if (it == by_id_.end()) {
-      by_timeout_.erase(by_timeout_.begin());
-      continue;
-    }
-    expired.push_back(it->second.filter);
-    erase_entry(it);
+    const std::uint32_t slot = by_timeout_.begin()->second;
+    expired.push_back(slab_[slot].filter);
+    release(slot);
   }
   return expired;
 }

@@ -2,6 +2,18 @@
 
 namespace scap::nic {
 
+namespace {
+
+void prefetch_line(const void* p) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(p);
+#else
+  (void)p;
+#endif
+}
+
+}  // namespace
+
 RxResult Nic::receive(const Packet& pkt) {
   ++stats_.packets_seen;
   stats_.bytes_seen += pkt.wire_len();
@@ -25,6 +37,17 @@ RxResult Nic::receive(const Packet& pkt) {
   const int q = rss_.queue_for(pkt);
   ++stats_.per_queue[static_cast<std::size_t>(q)];
   return {RxDisposition::kToQueue, q};
+}
+
+void Nic::prefetch_ahead(const Packet* pkt, const Packet* end) const {
+  if (fdir_.size() == 0) return;
+  if (end - pkt > 4) prefetch_line(pkt[4].frame_buffer().get());
+  if (end - pkt > 2) {
+    const auto frame = pkt[2].frame();
+    if (frame.size() > kTcpFlagsFlexOffset) {
+      prefetch_line(frame.data() + kTcpFlagsFlexOffset);
+    }
+  }
 }
 
 }  // namespace scap::nic

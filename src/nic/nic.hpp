@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/hotpath.hpp"
 #include "nic/fdir.hpp"
 #include "nic/rss.hpp"
 #include "trace/trace.hpp"
@@ -45,12 +46,20 @@ class Nic {
  public:
   Nic(int num_queues, RssKey key = symmetric_rss_key(),
       std::size_t fdir_capacity = 8192)
-      : rss_(key, num_queues), fdir_(fdir_capacity) {
-    stats_.per_queue.assign(static_cast<std::size_t>(num_queues), 0);
+      : rss_(key, num_queues), fdir_(fdir_capacity, rss_.num_queues()) {
+    stats_.per_queue.assign(static_cast<std::size_t>(rss_.num_queues()), 0);
   }
 
   /// Classify one arriving packet.
-  RxResult receive(const Packet& pkt);
+  SCAP_HOT RxResult receive(const Packet& pkt);
+
+  /// Batched ingest, called with each packet of [pkt, end) just before it
+  /// is received: start the frame loads receive() will make further on,
+  /// the way handle_batch prefetches flow-table probes. The frame buffer
+  /// object is fetched four packets ahead, the flex window behind it two
+  /// ahead. Only flex filters read frames, so with no filter installed
+  /// this does nothing.
+  SCAP_HOT void prefetch_ahead(const Packet* pkt, const Packet* end) const;
 
   FdirTable& fdir() { return fdir_; }
   const FdirTable& fdir() const { return fdir_; }

@@ -11,6 +11,8 @@
 #include <span>
 #include <string>
 
+#include "base/hash.hpp"
+
 namespace scap {
 
 constexpr std::size_t kEthHeaderLen = 14;
@@ -105,6 +107,16 @@ struct FiveTuple {
 
   friend bool operator==(const FiveTuple&, const FiveTuple&) = default;
 };
+
+/// Seeded hash of a tuple, field by field (hashing the struct's raw bytes
+/// would read indeterminate padding). Flow-table slots and FDIR buckets
+/// are keyed by it.
+constexpr std::uint64_t hash_tuple(const FiveTuple& t, std::uint64_t seed) {
+  std::uint64_t h = mix64(seed ^ t.src_ip);
+  h = mix64(h ^ t.dst_ip);
+  return mix64(h ^ (static_cast<std::uint64_t>(t.src_port) << 32) ^
+               (static_cast<std::uint64_t>(t.dst_port) << 16) ^ t.protocol);
+}
 
 std::string to_string(const FiveTuple& t);
 

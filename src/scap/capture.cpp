@@ -373,6 +373,7 @@ void Capture::inject_batch(std::span<const Packet> pkts) {
     {
       base::MutexLock lock(kernel_mutex_);
       for (; next != end; ++next) {
+        nic_->prefetch_ahead(next, end);
         const nic::RxResult rx = nic_->receive(*next);
         if (rx.disposition == nic::RxDisposition::kDroppedByFilter) continue;
         if (tick_due(next->timestamp())) {

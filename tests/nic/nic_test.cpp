@@ -59,6 +59,39 @@ TEST(Nic, SteeringFilterOverridesRss) {
   EXPECT_EQ(nic.stats().steered, 1u);
 }
 
+// A steering filter naming a queue the NIC does not have is rejected at
+// install time, counted as an install failure, and so can never index
+// past the per-queue counters on receive.
+TEST(Nic, OutOfRangeSteerFilterIsRejected) {
+  Nic nic(2);
+  FiveTuple t{0x0a000001, 0x0a000002, 40000, 80, kProtoTcp};
+  for (int queue : {5, 2, -1}) {
+    FdirFilter f;
+    f.tuple = t;
+    f.action = FdirAction::kToQueue;
+    f.queue = queue;
+    f.expires = Timestamp::from_sec(10);
+    EXPECT_EQ(nic.fdir().add(f), 0u) << "queue " << queue;
+  }
+  EXPECT_EQ(nic.fdir().add_failures(), 3u);
+  EXPECT_EQ(nic.fdir().size(), 0u);
+
+  const RxResult r = nic.receive(tcp_packet(t));
+  EXPECT_EQ(r.disposition, RxDisposition::kToQueue);
+  EXPECT_EQ(r.queue, nic.rss().queue_for(t));
+  EXPECT_EQ(nic.stats().steered, 0u);
+  EXPECT_EQ(nic.stats().per_queue[0] + nic.stats().per_queue[1], 1u);
+
+  // The last in-range queue is still accepted.
+  FdirFilter ok;
+  ok.tuple = t;
+  ok.action = FdirAction::kToQueue;
+  ok.queue = 1;
+  ok.expires = Timestamp::from_sec(10);
+  EXPECT_NE(nic.fdir().add(ok), 0u);
+  EXPECT_EQ(nic.receive(tcp_packet(t)).queue, 1);
+}
+
 TEST(Nic, StatsAccumulateBytes) {
   Nic nic(2);
   FiveTuple t{1, 2, 3, 4, kProtoTcp};

@@ -4,7 +4,8 @@
 // amortized sites; this test replaces the global allocator with counting
 // hooks and shows those amortized sites actually reach zero: once the flow
 // table and record pool cover the working set, per-packet lookup work
-// performs literally no allocations.
+// performs literally no allocations. The same holds for NIC classify:
+// FDIR match and RSS on a populated filter table.
 //
 // The counting-hook pattern (and the -Wmismatched-new-delete pragma it
 // needs under GCC) follows bench/throughput.cpp.
@@ -15,9 +16,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "kernel/flow_table.hpp"
 #include "kernel/record_pool.hpp"
+#include "nic/nic.hpp"
+#include "packet/craft.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -146,6 +150,49 @@ TEST(SteadyStateAlloc, RecordPoolRecycleIsAllocFree) {
   EXPECT_EQ(after - before, 0u)
       << "warm record-pool churn allocated " << (after - before)
       << " time(s)";
+}
+
+// NIC classify on a warm, populated filter table: FDIR-dropped hits,
+// flex misses that fall through to RSS, and tuples with no filter at all
+// must all classify without touching the allocator.
+TEST(SteadyStateAlloc, NicReceiveIsAllocFree) {
+  constexpr std::uint16_t kFlows = 256;
+  nic::Nic nic(4);
+  std::vector<Packet> hits, misses;
+  for (std::uint16_t p = 0; p < kFlows; ++p) {
+    for (const auto& f :
+         nic::make_cutoff_filters(tuple_for(p), Timestamp::from_sec(10))) {
+      ASSERT_NE(nic.fdir().add(f), 0u);
+    }
+    TcpSegmentSpec spec;
+    spec.tuple = tuple_for(p);
+    spec.flags = kTcpAck;
+    hits.push_back(make_tcp_packet(spec, Timestamp(0)));
+    spec.flags = kTcpAck | kTcpFin;  // same tuple, flex miss
+    misses.push_back(make_tcp_packet(spec, Timestamp(0)));
+    spec.tuple = tuple_for(static_cast<std::uint16_t>(p + 1000));  // no filter
+    misses.push_back(make_tcp_packet(spec, Timestamp(0)));
+  }
+
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  std::uint64_t dropped = 0, queued = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (const Packet& pkt : hits) {
+      const nic::RxResult r = nic.receive(pkt);
+      if (r.disposition == nic::RxDisposition::kDroppedByFilter) ++dropped;
+    }
+    for (const Packet& pkt : misses) {
+      if (nic.receive(pkt).disposition == nic::RxDisposition::kToQueue) {
+        ++queued;
+      }
+    }
+  }
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(dropped, 200u * kFlows);
+  EXPECT_EQ(queued, 200u * 2 * kFlows);
+  EXPECT_EQ(after - before, 0u)
+      << "warm NIC classify allocated " << (after - before) << " time(s)";
 }
 
 }  // namespace
