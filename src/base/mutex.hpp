@@ -1,8 +1,8 @@
 // Annotated synchronization primitives (DESIGN.md §11).
 //
 // The only mutexes allowed in src/ outside this file are these wrappers:
-// scap_analyzer.py (rule mutex-discipline) flags any raw std::mutex,
-// std::lock_guard, std::unique_lock or std::condition_variable declaration
+// scap_lint.py (rule mutex-discipline) flags any raw std::mutex,
+// std::lock_guard, std::unique_lock or std::condition_variable spelled
 // elsewhere, because a raw mutex is invisible to the clang thread-safety
 // analysis — fields it guards cannot be annotated against it.
 //

@@ -96,10 +96,9 @@ inline constexpr std::size_t kCacheLineSize = 64;
 ///
 /// Single-writer discipline is a *capability*, not a comment: push sites
 /// require the ring's producer SerialDomain and pop sites its consumer
-/// SerialDomain (scap_analyzer.py rule spsc-discipline enforces this on
-/// every call site; the clang thread-safety analysis proves the guard
-/// chain on clang builds). The capacity is rounded up to a power of two so
-/// index masking is a single AND.
+/// SerialDomain, and the clang thread-safety analysis proves on every call
+/// site that the caller holds that exact domain. The capacity is rounded
+/// up to a power of two so index masking is a single AND.
 template <typename T>
 class SpscRing {
  public:

@@ -19,7 +19,7 @@
 //
 // Locking model (every lock here is per-shard and batch-granular):
 //   * ring producer/consumer SerialDomains — structural single-writer
-//     discipline on the SPSC handoff (spsc-discipline analyzer rule);
+//     discipline on the SPSC handoff (proven by clang -Wthread-safety);
 //   * Shard::mu — serializes entry into the shard kernel between its
 //     consumer (once per batch, never per packet) and quiescent-state
 //     callers (stop(), check_invariants(), tests);

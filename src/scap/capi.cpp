@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 
 #include "scap/capture.hpp"
@@ -10,16 +11,21 @@
 
 namespace {
 
-scap::kernel::ReassemblyMode mode_of(int m) {
+// The C constants map one to one; an unknown value is rejected, never
+// remapped to some default.
+std::optional<scap::kernel::ReassemblyMode> mode_of(int m) {
   switch (m) {
+    case SCAP_TCP_FAST: return scap::kernel::ReassemblyMode::kTcpFast;
     case SCAP_TCP_STRICT: return scap::kernel::ReassemblyMode::kTcpStrict;
     case SCAP_NONE: return scap::kernel::ReassemblyMode::kNone;
-    default: return scap::kernel::ReassemblyMode::kTcpFast;
+    default: return std::nullopt;
   }
 }
 
-scap::Parameter param_of(int p) {
+std::optional<scap::Parameter> param_of(int p) {
   switch (p) {
+    case SCAP_PARAM_INACTIVITY_TIMEOUT_MS:
+      return scap::Parameter::kInactivityTimeoutMs;
     case SCAP_PARAM_CHUNK_SIZE: return scap::Parameter::kChunkSize;
     case SCAP_PARAM_OVERLAP_SIZE: return scap::Parameter::kOverlapSize;
     case SCAP_PARAM_FLUSH_TIMEOUT_MS: return scap::Parameter::kFlushTimeoutMs;
@@ -41,7 +47,7 @@ scap::Parameter param_of(int p) {
       return scap::Parameter::kStallTimeoutMs;
     case SCAP_PARAM_STALL_POLICY:
       return scap::Parameter::kStallPolicy;
-    default: return scap::Parameter::kInactivityTimeoutMs;
+    default: return std::nullopt;
   }
 }
 
@@ -60,12 +66,14 @@ void copy_hist(scap_hist_t& out, const scap::trace::Log2Histogram& in) {
 
 scap_t* scap_create(const char* device, std::int64_t memory_size,
                     int reassembly_mode, int need_pkts) {
+  const auto mode = mode_of(reassembly_mode);
+  if (!mode) return nullptr;
   try {
     return new scap::Capture(device ? device : "",
                              memory_size > 0
                                  ? static_cast<std::uint64_t>(memory_size)
                                  : static_cast<std::uint64_t>(SCAP_DEFAULT),
-                             mode_of(reassembly_mode), need_pkts != 0);
+                             *mode, need_pkts != 0);
   } catch (...) {
     return nullptr;
   }
@@ -118,8 +126,9 @@ int scap_set_worker_threads(scap_t* sc, int thread_num) {
 }
 
 int scap_set_parameter(scap_t* sc, int parameter, std::int64_t value) {
-  if (sc == nullptr) return -1;
-  return sc->set_parameter(param_of(parameter), value) ? 0 : -1;
+  const auto p = param_of(parameter);
+  if (sc == nullptr || !p) return -1;
+  return sc->set_parameter(*p, value) ? 0 : -1;
 }
 
 namespace {
@@ -195,8 +204,9 @@ int scap_set_stream_priority(scap_t* sc, stream_t* sd, int priority) {
 
 int scap_set_stream_parameter(scap_t* sc, stream_t* sd, int parameter,
                               std::int64_t value) {
-  if (sc == nullptr || sd == nullptr) return -1;
-  return sd->set_parameter(param_of(parameter), value) ? 0 : -1;
+  const auto p = param_of(parameter);
+  if (sc == nullptr || sd == nullptr || !p) return -1;
+  return sd->set_parameter(*p, value) ? 0 : -1;
 }
 
 int scap_keep_stream_chunk(scap_t* sc, stream_t* sd) {

@@ -55,9 +55,21 @@ bool StreamView::set_parameter(Parameter p, std::int64_t value) {
     case Parameter::kFlushTimeoutMs:
       rec->params.flush_timeout = Duration::from_msec(value);
       return true;
-    default:
-      return false;  // capture-wide parameters are not per-stream
+    // Capture-wide parameters are not per-stream.
+    case Parameter::kBaseThresholdPercent:
+    case Parameter::kOverloadCutoff:
+    case Parameter::kPriorityLevels:
+    case Parameter::kAdaptiveCutoff:
+    case Parameter::kAdaptiveMinCutoff:
+    case Parameter::kWorkerThreads:
+    case Parameter::kShardRingCapacity:
+    case Parameter::kRingHighWatermarkPct:
+    case Parameter::kRingLowWatermarkPct:
+    case Parameter::kStallTimeoutMs:
+    case Parameter::kStallPolicy:
+      return false;
   }
+  return false;
 }
 
 void StreamView::keep_chunk() { keep_requested_ = true; }

@@ -146,6 +146,7 @@ struct scap_stats_t {
 
 // --- socket lifecycle ----------------------------------------------------------
 
+// Returns nullptr for an unknown reassembly mode.
 scap_t* scap_create(const char* device, std::int64_t memory_size,
                     int reassembly_mode, int need_pkts);
 void scap_close(scap_t* sc);
@@ -158,6 +159,7 @@ int scap_add_cutoff_direction(scap_t* sc, std::int64_t cutoff, int direction);
 int scap_add_cutoff_class(scap_t* sc, std::int64_t cutoff,
                           const char* bpf_filter);
 int scap_set_worker_threads(scap_t* sc, int thread_num);
+// Returns -1, changing nothing, for an unknown parameter id.
 int scap_set_parameter(scap_t* sc, int parameter, std::int64_t value);
 
 // --- handlers ---------------------------------------------------------------------

@@ -26,6 +26,8 @@ struct Collected {
   std::vector<std::uint64_t> closed_bytes;
   int creations = 0;
   int packets = 0;
+  std::vector<int> param_rcs;
+  std::vector<std::int64_t> stream_timeout_ms;
 };
 Collected* g_collected = nullptr;
 
@@ -40,6 +42,22 @@ void on_close(stream_t* sd) {
 }
 
 void on_create(stream_t*) { ++g_collected->creations; }
+
+// Per-stream parameter calls from a creation callback: one valid, one
+// unknown id, one capture-wide id; then reads back the stream's timeout.
+scap_t* g_sc = nullptr;
+void on_create_set_params(stream_t* sd) {
+  ++g_collected->creations;
+  auto& rcs = g_collected->param_rcs;
+  rcs.push_back(scap_set_stream_parameter(
+      g_sc, sd, SCAP_PARAM_INACTIVITY_TIMEOUT_MS, 777));
+  rcs.push_back(scap_set_stream_parameter(g_sc, sd, 99, 5));
+  rcs.push_back(scap_set_stream_parameter(g_sc, sd, SCAP_PARAM_WORKERS, 5));
+  const scap::kernel::StreamRecord* rec = g_sc->kernel().find_stream(sd->id());
+  ASSERT_NE(rec, nullptr);
+  g_collected->stream_timeout_ms.push_back(
+      rec->params.inactivity_timeout.ns() / 1'000'000);
+}
 
 void on_data_packets(stream_t* sd) {
   scap_pkthdr hdr;
@@ -223,6 +241,30 @@ TEST_F(CApiTest, ParameterAndFilterValidation) {
   EXPECT_EQ(scap_add_cutoff_direction(sc, 100, SCAP_DIR_ORIG), 0);
   EXPECT_EQ(scap_add_cutoff_direction(sc, 100, 7), -1);
   EXPECT_EQ(scap_add_cutoff_class(sc, 100, "port 80"), 0);
+
+  // Unknown ids and modes are rejected and change nothing, never remapped
+  // to some other parameter or mode.
+  EXPECT_EQ(scap_create("sim0", SCAP_DEFAULT, 7, 0), nullptr);
+  EXPECT_EQ(scap_create("sim0", SCAP_DEFAULT, -1, 0), nullptr);
+  ASSERT_EQ(scap_set_parameter(sc, SCAP_PARAM_INACTIVITY_TIMEOUT_MS, 1234),
+            0);
+  EXPECT_EQ(scap_set_parameter(sc, 99, 5), -1);
+  EXPECT_EQ(scap_set_parameter(sc, -1, 5), -1);
+  g_sc = sc;
+  ASSERT_EQ(scap_dispatch_creation(sc, on_create_set_params), 0);
+  ASSERT_EQ(scap_start_capture(sc), 0);
+  EXPECT_EQ(sc->kernel().config().defaults.inactivity_timeout.ns(),
+            1234'000'000);
+
+  SessionBuilder s;
+  Timestamp t(0);
+  scap_inject(sc, s.syn(t));
+  scap_inject(sc, s.data("0123456789", t));
+  scap_flush(sc);
+  g_sc = nullptr;
+  ASSERT_EQ(collected_.creations, 1);
+  EXPECT_EQ(collected_.param_rcs, (std::vector<int>{0, -1, -1}));
+  EXPECT_EQ(collected_.stream_timeout_ms, std::vector<std::int64_t>{777});
   close_checked(sc);
 }
 

@@ -9,11 +9,13 @@
 // calls. This suite asserts that through the public Capture API:
 //
 //   * the same AdversaryGen trace at 0, 1, 2 and 4 workers yields equal
-//     normalized kernel stats, equal dispatch/NIC counters and an equal
-//     count of streams closed by inactivity expiry, with every
-//     conservation law holding;
+//     normalized kernel stats, equal dispatch/NIC counters, an equal
+//     count of streams closed by inactivity expiry and an equal digest of
+//     the bytes delivered to the application, with every conservation law
+//     holding;
 //   * at 0 workers, inject() per packet and inject_batch() at batch sizes
-//     7 and 32 yield identical stats and identical text traces.
+//     7 and 32 yield identical stats, identical text traces and an equal
+//     delivered-bytes digest.
 //
 // The regime is the shard-conservation "exact" one: ample memory, no
 // stream budget, no FDIR, no defrag, no flush timeouts, a 4 KiB cutoff,
@@ -25,11 +27,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "base/hash.hpp"
 #include "faultinject/adversary.hpp"
 #include "kernel/stats_determinism.hpp"
 #include "scap/capture.hpp"
@@ -51,11 +58,79 @@ std::vector<Packet> adversary_packets(std::uint64_t seed) {
   return faultinject::AdversaryGen(cfg).generate();
 }
 
+/// Digest of the bytes delivered to the application, with the definition
+/// perfbench validates its workloads by: each directional stream folds its
+/// bytes as little-endian 8-byte words keyed by their position (so chunk
+/// boundaries do not matter), is finished with its 5-tuple when it
+/// terminates, and streams combine by addition (so the order in which
+/// shards close them does not matter).
+class DeliveredDigest {
+ public:
+  void on_data(const StreamView& sv) {
+    const std::span<const std::uint8_t> data =
+        sv.data().subspan(sv.overlap_len());
+    std::lock_guard lock(mu_);
+    Stream& st = open_[key_of(sv.tuple())];
+    for (const std::uint8_t b : data) {
+      st.word |= static_cast<std::uint64_t>(b) << (8 * (st.bytes & 7));
+      if ((++st.bytes & 7) == 0) {
+        st.acc += word_hash(st.word, (st.bytes >> 3) - 1);
+        st.word = 0;
+      }
+    }
+  }
+
+  void on_terminated(const StreamView& sv) {
+    const Key key = key_of(sv.tuple());
+    std::lock_guard lock(mu_);
+    const auto it = open_.find(key);
+    if (it == open_.end()) return;
+    const Stream& st = it->second;
+    std::uint64_t acc = st.acc;
+    if ((st.bytes & 7) != 0) acc += word_hash(st.word, st.bytes >> 3);
+    digest_ += mix64(acc ^ mix64(key.first ^ mix64(key.second)) ^
+                     mix64(st.bytes));
+    bytes_ += st.bytes;
+    open_.erase(it);
+  }
+
+  /// (combined digest, delivered bytes); every stream must have closed.
+  std::pair<std::uint64_t, std::uint64_t> result() {
+    std::lock_guard lock(mu_);
+    EXPECT_TRUE(open_.empty()) << open_.size() << " streams never closed";
+    return {digest_, bytes_};
+  }
+
+ private:
+  using Key = std::pair<std::uint64_t, std::uint64_t>;
+  struct Stream {
+    std::uint64_t bytes = 0;
+    std::uint64_t acc = 0;
+    std::uint64_t word = 0;  // pending bytes of the current word
+  };
+
+  static Key key_of(const FiveTuple& t) {
+    return {(static_cast<std::uint64_t>(t.src_ip) << 32) | t.dst_ip,
+            (static_cast<std::uint64_t>(t.src_port) << 24) |
+                (static_cast<std::uint64_t>(t.dst_port) << 8) | t.protocol};
+  }
+  static std::uint64_t word_hash(std::uint64_t word, std::uint64_t index) {
+    return mix64(word ^ (index * 0x9e3779b97f4a7c15ULL));
+  }
+
+  std::mutex mu_;  // handlers run on every shard's worker
+  std::map<Key, Stream> open_;
+  std::uint64_t digest_ = 0;
+  std::uint64_t bytes_ = 0;
+};
+
 struct Result {
   kernel::KernelStats kernel;  // normalized
   std::uint64_t events_dispatched = 0;
   std::uint64_t nic_dropped_by_filter = 0;
   std::uint64_t timeout_closes = 0;
+  std::uint64_t delivered_digest = 0;
+  std::uint64_t delivered_bytes = 0;
   std::string invariants;
   std::string trace;  // text timeline + histograms (traced runs only)
 };
@@ -70,8 +145,10 @@ Result run(const std::vector<Packet>& pkts, int workers, std::size_t batch,
   cap.set_cutoff(4096);
   cap.set_parameter(Parameter::kInactivityTimeoutMs, 2000);
   std::atomic<std::uint64_t> timeout_closes{0};
-  cap.dispatch_data([](StreamView&) {});
-  cap.dispatch_termination([&timeout_closes](StreamView& sv) {
+  DeliveredDigest delivered;
+  cap.dispatch_data([&delivered](StreamView& sv) { delivered.on_data(sv); });
+  cap.dispatch_termination([&](StreamView& sv) {
+    delivered.on_terminated(sv);
     if (sv.status() == kernel::StreamStatus::kClosedTimeout) {
       timeout_closes.fetch_add(1, std::memory_order_relaxed);
     }
@@ -94,6 +171,7 @@ Result run(const std::vector<Packet>& pkts, int workers, std::size_t batch,
   r.events_dispatched = s.events_dispatched;
   r.nic_dropped_by_filter = s.nic_dropped_by_filter;
   r.timeout_closes = timeout_closes.load();
+  std::tie(r.delivered_digest, r.delivered_bytes) = delivered.result();
   r.invariants = cap.check_invariants();
   if (traced) {
     EXPECT_EQ(cap.tracer()->dropped(), 0u) << "trace ring wrapped";
@@ -114,6 +192,7 @@ TEST_P(CaptureEquivalence, WorkerCountsAgree) {
   EXPECT_EQ(ref.kernel.pkts_seen + ref.nic_dropped_by_filter, kPackets);
   EXPECT_GT(ref.timeout_closes, 0u) << "no stream expired mid-trace";
   EXPECT_EQ(ref.events_dispatched, ref.kernel.events_emitted);
+  EXPECT_GT(ref.delivered_bytes, 0u) << "nothing delivered";
 
   for (int workers : {1, 2, 4}) {
     const Result got = run(pkts, workers, /*batch=*/32, false);
@@ -130,6 +209,10 @@ TEST_P(CaptureEquivalence, WorkerCountsAgree) {
     EXPECT_EQ(got.nic_dropped_by_filter, ref.nic_dropped_by_filter)
         << "workers=" << workers;
     EXPECT_EQ(got.timeout_closes, ref.timeout_closes) << "workers=" << workers;
+    EXPECT_EQ(got.delivered_bytes, ref.delivered_bytes)
+        << "workers=" << workers;
+    EXPECT_EQ(got.delivered_digest, ref.delivered_digest)
+        << "workers=" << workers << ": delivered bytes differ";
   }
 }
 
@@ -138,6 +221,7 @@ TEST_P(CaptureEquivalence, InlineBatchingIsInvisible) {
   const Result ref = run(pkts, /*workers=*/0, /*batch=*/0, true);
   EXPECT_EQ(ref.invariants, "");
   EXPECT_GT(ref.timeout_closes, 0u) << "no stream expired mid-trace";
+  EXPECT_GT(ref.delivered_bytes, 0u) << "nothing delivered";
 
   for (std::size_t batch : {std::size_t{7}, std::size_t{32}}) {
     const Result got = run(pkts, /*workers=*/0, batch, true);
@@ -150,6 +234,9 @@ TEST_P(CaptureEquivalence, InlineBatchingIsInvisible) {
     EXPECT_EQ(got.events_dispatched, ref.events_dispatched)
         << "batch=" << batch;
     EXPECT_EQ(got.timeout_closes, ref.timeout_closes) << "batch=" << batch;
+    EXPECT_EQ(got.delivered_bytes, ref.delivered_bytes) << "batch=" << batch;
+    EXPECT_EQ(got.delivered_digest, ref.delivered_digest)
+        << "batch=" << batch << ": delivered bytes differ";
     EXPECT_TRUE(got.trace == ref.trace)
         << "batch=" << batch << ": trace differs from per-packet inject";
   }

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """scap_callgraph — whole-program hot-path purity analysis (DESIGN.md §14).
 
-scap_analyzer.py checks functions one at a time; this tool checks the
-*transitive closure*. It extracts the intra-project call graph — member
-calls, overload resolution (clang frontend), constructor calls, calls
-through std::unique_ptr, and FunctionRef / std::function callback
-registration sites — anchors on functions annotated SCAP_HOT
-(src/base/hotpath.hpp), and reports every forbidden operation reachable
-from a hot root with its full witness call chain:
+This tool checks the *transitive closure* of the datapath. It extracts
+the intra-project call graph — member calls, overload resolution (clang
+frontend), constructor calls, calls through std::unique_ptr, and
+FunctionRef / std::function callback registration sites — anchors on
+functions annotated SCAP_HOT (src/base/hotpath.hpp), and reports every
+forbidden operation reachable from a hot root with its full witness call
+chain:
 
     kernel::ScapKernel::handle_batch -> kernel::SegmentStore::insert
         -> std::map::emplace
@@ -56,9 +56,9 @@ accepted debts.
 Frontends
 ---------
 --frontend clang   libclang over build/compile_commands.json (falling
-                   back to default flags), sharing scap_analyzer.py's
-                   loader and exit-77-when-absent convention. Precise:
-                   real overload resolution, templates, canonical types.
+                   back to default flags); load_cindex() below is the
+                   loader scap_taint.py shares. Precise: real overload
+                   resolution, templates, canonical types.
 --frontend text    a structural scanner (namespace/class tracking,
                    declared-type receiver resolution) that needs no
                    toolchain. Best-effort but deliberately tuned to
@@ -83,6 +83,7 @@ from collections import deque
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import scap_lint    # shared waiver syntax + helpers
 import scap_rules   # the single rule registry
+from scap_lint import strip_code
 
 EXIT_SKIP = 77
 
@@ -254,81 +255,6 @@ POOL_REF_RE = re.compile(
 
 NEW_RE = re.compile(r"\bnew\b(\s*\()?")
 SUBSCRIPT_OPEN_RE = re.compile(r"([A-Za-z_]\w*)\s*\[")
-
-
-def strip_code(text):
-    """Blank comments, string/char literals and preprocessor directives,
-    preserving line structure, so structural scanning sees only code."""
-    out = []
-    i, n = 0, len(text)
-    NORMAL, LINECMT, BLKCMT, STR, CHR, PREPROC = range(6)
-    state = NORMAL
-    line_has_code = False
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            if state == LINECMT:
-                state = NORMAL
-            if state == PREPROC:
-                if out and out[-1] == " " and text[i - 1] == "\\":
-                    pass  # line continuation stays in the directive
-                else:
-                    state = NORMAL
-            out.append("\n")
-            line_has_code = False
-            i += 1
-            continue
-        if state == NORMAL:
-            if c == "#" and not line_has_code:
-                state = PREPROC
-                out.append(" ")
-            elif c == "/" and i + 1 < n and text[i + 1] == "/":
-                state = LINECMT
-                out.append("  ")
-                i += 1
-            elif c == "/" and i + 1 < n and text[i + 1] == "*":
-                state = BLKCMT
-                out.append("  ")
-                i += 1
-            elif c == '"':
-                state = STR
-                out.append(" ")
-            elif c == "'":
-                # C++14 digit separator (0x5ca9'f10a, 1'000'000): an
-                # apostrophe sandwiched between alphanumerics is part of a
-                # numeric literal, not a char-literal delimiter — treating
-                # it as one desynchronizes the stripper for the rest of
-                # the file.
-                if (0 < i < n - 1 and text[i - 1].isalnum()
-                        and text[i + 1].isalnum()):
-                    out.append(c)
-                    line_has_code = True
-                else:
-                    state = CHR
-                    out.append(" ")
-            else:
-                out.append(c)
-                if not c.isspace():
-                    line_has_code = True
-        elif state in (LINECMT, PREPROC):
-            out.append(" ")
-        elif state == BLKCMT:
-            if c == "*" and i + 1 < n and text[i + 1] == "/":
-                state = NORMAL
-                out.append("  ")
-                i += 1
-            else:
-                out.append(" ")
-        elif state in (STR, CHR):
-            if c == "\\":
-                out.append("  ")
-                i += 1
-            else:
-                out.append(" ")
-                if (state == STR and c == '"') or (state == CHR and c == "'"):
-                    state = NORMAL
-        i += 1
-    return "".join(out)
 
 
 def find_toplevel(s, ch, openers="(<[{", closers=")>]}"):
@@ -808,7 +734,7 @@ class TextFrontend:
         first = tstr.split()[-1].split("<")[0].split("::")[0]
         if first in CONTROL_KEYWORDS and first != "auto":
             return
-        if first == "auto" or tstr == "auto":
+        if first.rstrip("&*") == "auto":
             tstr = self._infer_auto(ln, locals_, cur_class)
         locals_[name] = tstr
         kind, resolved = self.resolve_type(tstr)
@@ -1148,9 +1074,63 @@ class ClangFrontend:
         return self.graph
 
 
+def load_cindex():
+    """Import clang.cindex and make sure libclang actually loads.
+
+    Returns the module or None. Honors SCAP_LIBCLANG (path to libclang.so),
+    then falls back to common versioned sonames.
+    """
+    try:
+        from clang import cindex
+    except ImportError:
+        return None
+    override = os.environ.get("SCAP_LIBCLANG")
+    if override:
+        cindex.Config.set_library_file(override)
+    try:
+        cindex.Index.create()
+        return cindex
+    except Exception:
+        if override:
+            return None
+    candidates = []
+    for ver in range(21, 13, -1):
+        candidates += [
+            f"/usr/lib/llvm-{ver}/lib/libclang.so.1",
+            f"/usr/lib/llvm-{ver}/lib/libclang-{ver}.so.1",
+            f"/usr/lib/x86_64-linux-gnu/libclang-{ver}.so.1",
+        ]
+    candidates.append("libclang.so")
+    for path in candidates:
+        if path.startswith("/") and not os.path.exists(path):
+            continue
+        try:
+            cindex.Config.loaded = False
+            cindex.Config.set_library_file(path)
+            cindex.Index.create()
+            return cindex
+        except Exception:
+            continue
+    return None
+
+
+def parse_tu(cindex, index, path, args):
+    try:
+        tu = index.parse(path, args=args)
+    except cindex.TranslationUnitLoadError as e:
+        print(f"scap_callgraph: failed to parse {path}: {e}", file=sys.stderr)
+        return None
+    fatal = [d for d in tu.diagnostics if d.severity >= d.Fatal]
+    if fatal:
+        for d in fatal:
+            print(f"scap_callgraph: {path}: {d.spelling}", file=sys.stderr)
+        return None
+    return tu
+
+
 def compile_args_for(cindex, root, rel):
-    """Arguments for one TU: compile_commands.json when present, else the
-    same defaults scap_analyzer uses."""
+    """Arguments for one TU: compile_commands.json when present, else
+    default flags."""
     db_dir = os.path.join(root, "build")
     if os.path.exists(os.path.join(db_dir, "compile_commands.json")):
         try:
@@ -1177,7 +1157,6 @@ def compile_args_for(cindex, root, rel):
 
 
 def build_clang_graph(cindex, root, rel_files, fixture_mode):
-    import scap_analyzer
     index = cindex.Index.create()
     fe = ClangFrontend(cindex, root)
     for rel in rel_files:
@@ -1191,7 +1170,7 @@ def build_clang_graph(cindex, root, rel_files, fixture_mode):
             args = ["-x", "c++", "-std=c++17", "-nostdinc++"]
         else:
             args = compile_args_for(cindex, root, rel)
-        tu = scap_analyzer.parse_tu(cindex, index, path, args)
+        tu = parse_tu(cindex, index, path, args)
         if tu is None:
             return None
         fe.add_tu(tu)
@@ -1416,8 +1395,7 @@ def main():
 
     cindex = None
     if args.frontend in ("auto", "clang"):
-        import scap_analyzer
-        cindex = scap_analyzer.load_cindex()
+        cindex = load_cindex()
     if args.frontend == "clang" and cindex is None:
         print("scap_callgraph: libclang not available (install "
               "python3-clang + libclang or set SCAP_LIBCLANG; or use "

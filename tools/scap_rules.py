@@ -2,25 +2,29 @@
 
 Every rule any of the three checkers can emit is declared here exactly
 once, tagged with the tool that owns it. The tools import this table for
-their --list-rules output and for stale-waiver ownership (a waiver is only
-"stale" to the tool that owns its rule); the self-tests import it to
-validate fixture expectations (an expectation naming an unknown rule is a
-harness bug, not a silently-never-matched line) and to require fixture
-coverage per rule. Before this table, tools/scap_analyzer.py and
-tests/analyzer/analyzer_selftest.py each hard-wired their own rule lists,
-which could drift apart without any test noticing.
+their --list-rules output and for waiver ownership: a waiver is only
+"stale" to the tool that owns its rule, and scap_lint reports a waiver
+naming a rule that no tool owns. The self-tests import it to validate
+fixture expectations (an expectation naming an unknown rule is a harness
+bug, not a silently-never-matched line) and to require fixture coverage
+per rule.
 
 Tools
 -----
 lint       tools/scap_lint.py        line-oriented text rules
-analyzer   tools/scap_analyzer.py    per-function libclang AST rules
 callgraph  tools/scap_callgraph.py   whole-program hot-path purity rules
 taint      tools/scap_taint.py       whole-program determinism taint rules
 
-The pseudo-rules `waiver` (a waiver comment without a reason) and
-`stale-waiver` (a waiver that no longer suppresses anything) are emitted
-per-tool: each tool audits only waivers naming rules it owns, so every
-waiver has exactly one auditor.
+Two more invariants have no rule here because the compiler owns them:
+exhaustive enum switches (-Wswitch-enum on every scap_* library) and the
+single-threaded ends of the lock-free queues (clang -Wthread-safety over
+the SCAP_REQUIRES annotations in src/base/ring.hpp). DESIGN.md §11 maps
+every invariant to its owner.
+
+The pseudo-rules `waiver` (a waiver comment without a reason, or naming an
+unknown rule) and `stale-waiver` (a waiver that no longer suppresses
+anything) are emitted per-tool: each tool audits only waivers naming rules
+it owns, so every waiver has exactly one auditor.
 """
 
 from collections import namedtuple
@@ -31,18 +35,10 @@ RULES = [
     # --- tools/scap_lint.py --------------------------------------------------
     Rule("trace-coverage", "lint",
          "every TraceEventType has an emit site and a pretty-printer case"),
-
-    # --- tools/scap_analyzer.py ----------------------------------------------
-    Rule("hot-path-alloc", "analyzer",
-         "no operator new / C heap / unordered_map in hot-path files"),
-    Rule("switch-exhaustive", "analyzer",
-         "switches over watched enums cover every enumerator, no default"),
-    Rule("mutex-discipline", "analyzer",
+    Rule("mutex-discipline", "lint",
          "no raw std::mutex/lock types outside src/base/mutex.hpp"),
-    Rule("guard-coverage", "analyzer",
+    Rule("guard-coverage", "lint",
          "the pinned capability table's annotations are present"),
-    Rule("spsc-discipline", "analyzer",
-         "SPSC ring endpoints are called with serial-domain evidence"),
 
     # --- tools/scap_callgraph.py (whole-program purity, DESIGN.md §14) ------
     Rule("hot-alloc", "callgraph",
@@ -59,7 +55,7 @@ RULES = [
          "no call from the hot closure into a SCAP_COLD function"),
 
     # --- tools/scap_taint.py (whole-program determinism, DESIGN.md §15) -----
-    # The per-function `nondeterminism` analyzer rule retired into these:
+    # The per-function `nondeterminism` rule retired into these:
     # taint tracking flags the *transitive* reach of a nondeterministic
     # value into observable output, not just its lexical occurrence.
     Rule("taint-wallclock", "taint",
@@ -80,7 +76,7 @@ RULES = [
 ]
 
 # Pseudo-rules every tool may emit about waivers of its own rules.
-WAIVER_RULE = "waiver"              # waiver without a reason
+WAIVER_RULE = "waiver"              # waiver without a reason / unknown rule
 STALE_WAIVER_RULE = "stale-waiver"  # waiver that suppresses nothing
 
 

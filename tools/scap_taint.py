@@ -73,7 +73,8 @@ from collections import deque
 import scap_callgraph
 import scap_lint
 import scap_rules
-from scap_callgraph import CgFinding, chain_str, strip_code
+from scap_callgraph import CgFinding, chain_str
+from scap_lint import strip_code
 
 EXIT_SKIP = 77
 
@@ -578,8 +579,7 @@ def main():
 
     cindex = None
     if args.frontend in ("auto", "clang"):
-        import scap_analyzer
-        cindex = scap_analyzer.load_cindex()
+        cindex = scap_callgraph.load_cindex()
     if args.frontend == "clang" and cindex is None:
         print("scap_taint: libclang not available (install python3-clang + "
               "libclang or set SCAP_LIBCLANG; or use --frontend text); "
