@@ -55,7 +55,6 @@ ScapPipeline::ScapPipeline(ScapRunOptions options) : opt_(std::move(options)),
     user_.emplace_back(~0ull, opt_.costs.core_hz);
   }
   if (opt_.enable_cache_model) cache_.emplace();
-  pending_.resize(static_cast<std::size_t>(opt_.softirq_cores));
 }
 
 void ScapPipeline::service_releases(Timestamp now) {
@@ -66,8 +65,7 @@ void ScapPipeline::service_releases(Timestamp now) {
   }
 }
 
-double ScapPipeline::softirq_cost(const kernel::PacketOutcome& out,
-                                  const Packet& pkt) const {
+double ScapPipeline::softirq_cost(const kernel::PacketOutcome& out) const {
   const sim::CostTable& c = opt_.costs;
   double cycles = c.irq_per_packet;
   switch (out.verdict) {
@@ -93,7 +91,6 @@ double ScapPipeline::softirq_cost(const kernel::PacketOutcome& out,
   }
   cycles += c.event_create * out.events;
   cycles += c.fdir_update * out.fdir_updates;
-  (void)pkt;
   return cycles;
 }
 
@@ -165,48 +162,28 @@ void ScapPipeline::offer(const Packet& pkt) {
     ++result_.pkts_dropped;  // RX descriptor ring overflow
     return;
   }
-  pending_[static_cast<std::size_t>(q)].push_back(pkt);
-  if (static_cast<int>(pending_[static_cast<std::size_t>(q)].size()) >=
-      std::max(opt_.ingest_batch, 1)) {
-    flush_queue(q);
+  const kernel::PacketOutcome out = kernel_->handle_packet(pkt, t, q);
+  const double soft_cycles = softirq_cost(out);
+  soft.offer(t, pkt.wire_len(), soft_cycles);
+  // The worker pinned to this core loses the cycles its colocated softirq
+  // context consumed (the reason Fig. 10's speedup is sublinear).
+  if (q < static_cast<int>(user_.size())) {
+    user_[static_cast<std::size_t>(q)].charge(t, soft_cycles);
   }
-}
-
-void ScapPipeline::flush_queue(int q) {
-  auto& batch = pending_[static_cast<std::size_t>(q)];
-  if (batch.empty()) return;
-  auto& soft = softirq_[static_cast<std::size_t>(q)];
-  outcome_buf_.resize(batch.size());
-  kernel_->handle_batch(batch, batch.front().timestamp(), q,
-                        {outcome_buf_.data(), outcome_buf_.size()});
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Packet& pkt = batch[i];
-    const kernel::PacketOutcome& out = outcome_buf_[i];
-    const Timestamp t = pkt.timestamp();
-    const double soft_cycles = softirq_cost(out, pkt);
-    soft.offer(t, pkt.wire_len(), soft_cycles);
-    // The worker pinned to this core loses the cycles its colocated softirq
-    // context consumed (the reason Fig. 10's speedup is sublinear).
-    if (q < static_cast<int>(user_.size())) {
-      user_[static_cast<std::size_t>(q)].charge(t, soft_cycles);
-    }
-    if (out.verdict == kernel::Verdict::kPplDrop ||
-        out.verdict == kernel::Verdict::kNoMemDrop) {
-      ++result_.pkts_dropped;
-    }
-    if (cache_ && out.stored_bytes > 0) {
-      // Kernel writes the payload straight into the stream's buffer.
-      const std::uint64_t base = cache_->stream_base(pkt.tuple());
-      cache_->add(soft.last_completion(),
-                  base + pkt.seq() % kStreamRegion, out.stored_bytes);
-    }
+  if (out.verdict == kernel::Verdict::kPplDrop ||
+      out.verdict == kernel::Verdict::kNoMemDrop) {
+    ++result_.pkts_dropped;
   }
-  batch.clear();
+  if (cache_ && out.stored_bytes > 0) {
+    // Kernel writes the payload straight into the stream's buffer.
+    const std::uint64_t base = cache_->stream_base(pkt.tuple());
+    cache_->add(soft.last_completion(), base + pkt.seq() % kStreamRegion,
+                out.stored_bytes);
+  }
   drain_events(q, soft.last_completion());
 }
 
 RunResult ScapPipeline::finish() {
-  for (int q = 0; q < opt_.softirq_cores; ++q) flush_queue(q);
   kernel_->terminate_all(last_ts_);
   for (int c = 0; c < opt_.softirq_cores; ++c) {
     const Timestamp ready =

@@ -114,13 +114,6 @@ struct ScapRunOptions {
   /// actually run — for sweeps that only need the load, not match counts.
   bool count_matches = true;
   bool enable_cache_model = false;
-  /// Packets buffered per softirq queue before entering the kernel through
-  /// ScapKernel::handle_batch. 1 (the default) is behaviourally identical
-  /// to per-packet ingest and keeps every published figure exact; larger
-  /// batches amortize kernel entry for wall-clock throughput runs but defer
-  /// event draining and the maintenance check to batch boundaries, which
-  /// can shift virtual-time results under overload.
-  int ingest_batch = 1;
 };
 
 class ScapPipeline {
@@ -138,19 +131,13 @@ class ScapPipeline {
  private:
   void service_releases(Timestamp now);
   void drain_events(int core, Timestamp ready);
-  /// Push queue q's pending packets through the kernel and charge their
-  /// softirq/user cycles. No-op when nothing is pending.
-  void flush_queue(int q);
-  double softirq_cost(const kernel::PacketOutcome& out,
-                      const Packet& pkt) const;
+  double softirq_cost(const kernel::PacketOutcome& out) const;
 
   ScapRunOptions opt_;
   nic::Nic nic_;
   std::unique_ptr<kernel::ScapKernel> kernel_;
   std::vector<sim::QueueServer> softirq_;
   std::vector<sim::QueueServer> user_;
-  std::vector<std::vector<Packet>> pending_;       // per softirq queue
-  std::vector<kernel::PacketOutcome> outcome_buf_;  // scratch for flushes
   struct Release {
     std::int64_t t_ns;
     std::uint64_t addr;
@@ -207,9 +194,6 @@ class BaselinePipeline {
   std::uint64_t ring_cursor_ = 0;   // circular capture-ring address
   // Matching state accumulated inside the engine's chunk callback.
   std::uint64_t matched_bytes_pending_ = 0;
-  std::uint64_t copy_baseline_ = 0;
-  std::uint64_t delivered_baseline_ = 0;
-  std::uint64_t cutoff_baseline_ = 0;
 };
 
 /// Convenience: replay a trace through a freshly-built pipeline.

@@ -16,6 +16,7 @@
 #include "nic/fdir.hpp"
 #include "nic/rss.hpp"
 #include "packet/craft.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 
@@ -139,11 +140,16 @@ void BM_AhoCorasickScan(benchmark::State& state) {
 }
 BENCHMARK(BM_AhoCorasickScan)->ArgName("dense")->Arg(0)->Arg(1);
 
+// With traced=1 a Tracer is attached before the first packet, so every
+// instrumentation site takes its branch and store; the difference between
+// the two runs is the trace-on cost (DESIGN.md §10).
 void BM_KernelHandlePacket(benchmark::State& state) {
   kernel::KernelConfig cfg;
   cfg.memory_size = 1ull << 30;
   cfg.creation_events = false;
   kernel::ScapKernel k(cfg);
+  trace::Tracer tracer(trace::TraceConfig{.ring_capacity = 1 << 14});
+  if (state.range(0) != 0) k.set_tracer(&tracer);
 
   TcpSegmentSpec syn;
   syn.tuple = {0x0a000001, 0x0a000002, 40000, 80, kProtoTcp};
@@ -175,7 +181,7 @@ void BM_KernelHandlePacket(benchmark::State& state) {
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations()) * 1460);
 }
-BENCHMARK(BM_KernelHandlePacket);
+BENCHMARK(BM_KernelHandlePacket)->ArgName("traced")->Arg(0)->Arg(1);
 
 void BM_FlowTableLookup(benchmark::State& state) {
   kernel::FlowTable table;

@@ -4,21 +4,22 @@
 // amortized sites; this test replaces the global allocator with counting
 // hooks and shows those amortized sites actually reach zero: once the flow
 // table and record pool cover the working set, per-packet lookup work
-// performs literally no allocations. The same holds for NIC classify:
-// FDIR match and RSS on a populated filter table.
-//
-// The counting-hook pattern (and the -Wmismatched-new-delete pragma it
-// needs under GCC) follows bench/throughput.cpp.
+// performs literally no allocations. The same holds for the batched kernel
+// entry on streams past their cutoff, and for NIC classify: FDIR match and
+// RSS on a populated filter table.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "kernel/flow_table.hpp"
+#include "kernel/module.hpp"
 #include "kernel/record_pool.hpp"
 #include "nic/nic.hpp"
 #include "packet/craft.hpp"
@@ -124,6 +125,72 @@ TEST(SteadyStateAlloc, FlowLookupMissIsAllocFree) {
 
   EXPECT_EQ(misses, 64u * 1000u);
   EXPECT_EQ(after - before, 0u);
+}
+
+// The whole batched kernel entry on established streams past their cutoff:
+// ScapKernel::handle_batch (lookup, touch, cutoff discard) in 32-packet
+// batches, each followed by an event drain, as a capture loop runs it.
+TEST(SteadyStateAlloc, CutoffDiscardIsAllocFree) {
+  constexpr std::uint32_t kFlows = 4096;
+  constexpr std::size_t kRounds = 4;  // packets per flow per pass
+  constexpr int kPasses = 8;
+  constexpr std::size_t kBatch = 32;
+
+  KernelConfig cfg;
+  cfg.max_streams = kFlows * 2;
+  cfg.defaults.cutoff_bytes = 64;
+  ScapKernel k(cfg);
+  auto drain = [&k] {
+    while (!k.events(0).empty()) k.release_chunk(k.events(0).pop());
+  };
+
+  std::vector<std::uint8_t> payload(512, 0xab);
+  const Timestamp t0(0);
+  std::vector<FiveTuple> tuples(kFlows);
+  for (std::uint32_t i = 0; i < kFlows; ++i) {
+    tuples[i] = {0x0a000000u + i, 0xc0a80001u, 40000, 80, kProtoTcp};
+    const TcpSegmentSpec syn{.tuple = tuples[i], .seq = 0, .flags = kTcpSyn};
+    const TcpSegmentSpec d0{.tuple = tuples[i], .seq = 1, .payload = payload};
+    const TcpSegmentSpec d1{
+        .tuple = tuples[i], .seq = 513, .payload = payload};
+    k.handle_packet(make_tcp_packet(syn, t0), t0);
+    k.handle_packet(make_tcp_packet(d0, t0), t0);
+    k.handle_packet(make_tcp_packet(d1, t0), t0);  // now past the cutoff
+  }
+  drain();
+
+  const TcpSegmentSpec steady{
+      .tuple = tuples[0], .seq = 4096, .payload = payload};
+  const Packet tmpl = make_tcp_packet(steady, t0);
+  std::vector<Packet> pkts;
+  pkts.reserve(kFlows * kRounds);
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    for (const FiveTuple& tup : tuples) {
+      pkts.push_back(tmpl.with_flow(tup, 4096, t0));
+    }
+  }
+  const std::span<const Packet> all(pkts);
+  auto pass = [&] {
+    for (std::size_t i = 0; i < all.size(); i += kBatch) {
+      k.handle_batch(all.subspan(i, std::min(kBatch, all.size() - i)), t0);
+      drain();
+    }
+  };
+  pass();  // warm-up: grows any remaining lazy state
+
+  const std::uint64_t discards_before = k.stats().verdicts[static_cast<
+      std::size_t>(Verdict::kCutoffDiscard)];
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int p = 0; p < kPasses; ++p) pass();
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t discards =
+      k.stats().verdicts[static_cast<std::size_t>(Verdict::kCutoffDiscard)] -
+      discards_before;
+
+  EXPECT_EQ(discards, static_cast<std::uint64_t>(pkts.size()) * kPasses);
+  EXPECT_EQ(after - before, 0u)
+      << "batched cutoff discard allocated " << (after - before)
+      << " time(s)";
 }
 
 // Record churn on a warm pool: grow() reserves the full pool up front
