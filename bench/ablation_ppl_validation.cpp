@@ -46,10 +46,10 @@ double simulate_loss(double rho, int n, std::uint64_t packets,
     // Service completions up to `now` free their slots (FIFO M/M/1).
     while (!release_times.empty() && release_times.front() <= now) {
       release_times.erase(release_times.begin());
-      alloc.release(0, static_cast<std::uint32_t>(slot));
+      alloc.release(static_cast<std::uint32_t>(slot));
     }
     if (ppl.admit(alloc.used_fraction(), 0, 0) != kernel::PplVerdict::kAdmit ||
-        !alloc.allocate(static_cast<std::uint32_t>(slot)).has_value()) {
+        !alloc.allocate(static_cast<std::uint32_t>(slot))) {
       ++lost;
       continue;
     }

@@ -61,7 +61,7 @@ void ScapPipeline::service_releases(Timestamp now) {
   while (!releases_.empty() && releases_.top().t_ns <= now.ns()) {
     const Release r = releases_.top();
     releases_.pop();
-    kernel_->allocator().release(r.addr, r.size);
+    kernel_->allocator().release(r.size);
   }
 }
 
@@ -133,7 +133,7 @@ void ScapPipeline::drain_events(int core, Timestamp ready) {
     user_[w].offer(ready, len, cycles);
     const Timestamp done = user_[w].last_completion();
     if (ev.chunk_alloc != 0) {
-      releases_.push({done.ns(), ev.chunk_addr, ev.chunk_alloc});
+      releases_.push({done.ns(), ev.chunk_alloc});
     }
     if (cache_ && ev.type == kernel::EventType::kData && len > 0) {
       // Worker reads the chunk out of the shared stream buffer.

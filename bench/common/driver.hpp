@@ -140,7 +140,6 @@ class ScapPipeline {
   std::vector<sim::QueueServer> user_;
   struct Release {
     std::int64_t t_ns;
-    std::uint64_t addr;
     std::uint32_t size;
     bool operator>(const Release& o) const { return t_ns > o.t_ns; }
   };

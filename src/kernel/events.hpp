@@ -37,8 +37,7 @@ struct Event {
   EventType type = EventType::kData;
   StreamSnapshot stream;
   Chunk chunk;  // data events only
-  /// Allocator accounting the consumer must release after processing.
-  std::uint64_t chunk_addr = 0;
+  /// Allocator bytes the consumer must release after processing.
   std::uint32_t chunk_alloc = 0;
   /// Which attached applications should see this event (bit per app).
   std::uint64_t app_mask = ~0ULL;

@@ -51,11 +51,15 @@ struct StreamRecord {
 
   bool cutoff_exceeded = false;
   bool discard_requested = false;  // scap_discard_stream()
+  // Cutoff filters were requested for this tuple (or steering filters
+  // installed), so closing the stream queues their removal.
   bool fdir_installed = false;
   Duration fdir_timeout = Duration::from_sec(0);
+  // Expiry of the last filters the kernel asked for: a cutoff discard at
+  // or after it re-installs with a doubled timeout (paper §5.5).
+  Timestamp fdir_expires;
 
-  // Memory accounting: the open chunk's allocated block.
-  std::uint64_t chunk_addr = 0;
+  // Memory accounting: bytes reserved for the open chunk.
   std::uint32_t chunk_alloc = 0;
   // Accounting carried by a kept chunk (scap_keep_stream_chunk).
   std::uint32_t kept_alloc = 0;

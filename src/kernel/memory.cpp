@@ -1,67 +1,25 @@
 #include "kernel/memory.hpp"
 
-#include <algorithm>
-
 #include "faultinject/faultinject.hpp"
 
 namespace scap::kernel {
 
-ChunkAllocator::SizeClass* ChunkAllocator::free_list(std::uint32_t size) {
-  SizeClass* first = free_lists_.data();
-  SizeClass* last = first + num_size_classes_;
-  SizeClass* it = std::lower_bound(
-      first, last, size,
-      [](const SizeClass& entry, std::uint32_t s) { return entry.size < s; });
-  if (it != last && it->size == size) return it;
-  if (num_size_classes_ == kMaxSizeClasses) return nullptr;
-  // Open a new size class by shifting the sorted tail up one fixed-table
-  // slot — element moves within the fixed array, no table growth.
-  std::move_backward(it, last, last + 1);
-  it->size = size;
-  it->naddrs = 0;
-  ++num_size_classes_;
-  return it;
-}
-
-std::optional<std::uint64_t> ChunkAllocator::allocate(std::uint32_t size) {
+bool ChunkAllocator::allocate(std::uint32_t size) {
   // Injected failure: indistinguishable from exhaustion to the caller, and
   // counted through the same failures() statistic.
-  if (faultinject::should_fail(faultinject::FaultPoint::kChunkAlloc)) {
+  if (faultinject::should_fail(faultinject::FaultPoint::kChunkAlloc) ||
+      used_ + size > capacity_) {
     ++failures_;
-    return std::nullopt;
+    return false;
   }
-  if (used_ + size > capacity_) {
-    ++failures_;
-    return std::nullopt;
-  }
+  allocate_forced(size);
+  return true;
+}
+
+void ChunkAllocator::allocate_forced(std::uint32_t size) {
   used_ += size;
   if (used_ > high_water_) high_water_ = used_;
   ++allocations_;
-  SizeClass* sc = free_list(size);
-  if (sc != nullptr && sc->naddrs > 0) return sc->addrs[--sc->naddrs];
-  const std::uint64_t addr = bump_;
-  bump_ += size;
-  return addr;
-}
-
-std::uint64_t ChunkAllocator::allocate_forced(std::uint32_t size) {
-  used_ += size;
-  if (used_ > high_water_) high_water_ = used_;
-  ++allocations_;
-  SizeClass* sc = free_list(size);
-  if (sc != nullptr && sc->naddrs > 0) return sc->addrs[--sc->naddrs];
-  const std::uint64_t addr = bump_;
-  bump_ += size;
-  return addr;
-}
-
-void ChunkAllocator::release(std::uint64_t addr, std::uint32_t size) {
-  if (size == 0) return;
-  used_ = used_ >= size ? used_ - size : 0;
-  SizeClass* sc = free_list(size);
-  if (sc != nullptr && sc->naddrs < kRecycleDepth) {
-    sc->addrs[sc->naddrs++] = addr;
-  }
 }
 
 }  // namespace scap::kernel

@@ -1,19 +1,15 @@
 // Stream-buffer memory accounting (paper §5.3).
 //
 // The real Scap maps one large kernel buffer into user space and carves
-// per-stream chunk blocks out of it with a custom allocator. Here the chunk
-// *bytes* live in ordinary vectors owned by the streams/events, while this
-// class provides (a) capacity accounting over the configured buffer size —
-// the quantity PPL watches — and (b) stable virtual addresses for each
-// block, which the cache-locality experiment replays through the cache
-// model. Addresses are recycled through segregated per-size free lists, the
-// behaviour of a real slab-style allocator.
+// per-stream chunk blocks out of it. Here the chunk *bytes* live in
+// ordinary vectors owned by the streams/events, and this class is only the
+// byte budget over the configured buffer size — the occupancy PPL reads.
+// It hands out no addresses: the fig07 cache model takes its addresses
+// from CacheTracker::stream_base. A real arena (ROADMAP item 1) brings
+// offsets back, in the place where the bytes live.
 #pragma once
 
-#include <array>
-#include <cstddef>
 #include <cstdint>
-#include <optional>
 
 namespace scap::kernel {
 
@@ -22,18 +18,19 @@ class ChunkAllocator {
   explicit ChunkAllocator(std::uint64_t capacity_bytes)
       : capacity_(capacity_bytes) {}
 
-  /// Reserve `size` bytes; returns the block's virtual address, or nullopt
-  /// when the buffer is exhausted.
-  std::optional<std::uint64_t> allocate(std::uint32_t size);
+  /// Reserve `size` bytes; false when the buffer is exhausted.
+  bool allocate(std::uint32_t size);
 
   /// Reserve `size` bytes even when it overshoots capacity. Used for bytes
   /// that are already physically written (e.g. the tail of a packet that
   /// crossed a chunk boundary); PPL keeps the overshoot bounded to one
   /// chunk per stream.
-  std::uint64_t allocate_forced(std::uint32_t size);
+  void allocate_forced(std::uint32_t size);
 
-  /// Return a block. Address must come from allocate() with the same size.
-  void release(std::uint64_t addr, std::uint32_t size);
+  /// Return `size` reserved bytes.
+  void release(std::uint32_t size) {
+    used_ = used_ >= size ? used_ - size : 0;
+  }
 
   std::uint64_t capacity() const { return capacity_; }
   std::uint64_t used() const { return used_; }
@@ -46,40 +43,11 @@ class ChunkAllocator {
   std::uint64_t high_water() const { return high_water_; }
 
  private:
-  /// Distinct block sizes a run can recycle. Sizes are config-derived
-  /// (chunk size plus the handful of partial-chunk tails PPL permits), so
-  /// a small fixed table covers every real workload; past it, addresses of
-  /// that size are simply not recycled (bump allocation still serves them)
-  /// rather than growing the table on the per-chunk path.
-  static constexpr std::size_t kMaxSizeClasses = 32;
-
-  /// Recycled addresses retained per size class. Past this depth a
-  /// released address is simply dropped and the size is served from the
-  /// bump cursor again — addresses are virtual, so the only cost is a
-  /// sparser layout for the cache-locality model, never real memory.
-  static constexpr std::size_t kRecycleDepth = 128;
-
-  struct SizeClass {
-    std::uint32_t size = 0;
-    std::size_t naddrs = 0;  // live entries in addrs (LIFO stack)
-    std::array<std::uint64_t, kRecycleDepth> addrs;
-  };
-
-  /// Size class for `size`, creating it in the fixed table if room
-  /// remains; nullptr once the table is full (no recycling then). The
-  /// segregated classes live in a size-sorted flat array (binary search):
-  /// allocation is a per-chunk operation, and a flat array beats hashing
-  /// both in lookup cost and in determinism (no bucket-order dependence).
-  SizeClass* free_list(std::uint32_t size);
-
   std::uint64_t capacity_;
   std::uint64_t used_ = 0;
-  std::uint64_t bump_ = 0;  // next fresh address
   std::uint64_t allocations_ = 0;
   std::uint64_t failures_ = 0;
   std::uint64_t high_water_ = 0;
-  std::array<SizeClass, kMaxSizeClasses> free_lists_;  // sorted by size
-  std::size_t num_size_classes_ = 0;
 };
 
 }  // namespace scap::kernel

@@ -267,7 +267,69 @@ ScapKernel::ScapKernel(KernelConfig config, nic::Nic* nic)
       ppl_(config_.ppl),
       queues_(static_cast<std::size_t>(std::max(config_.num_cores, 1))),
       core_streams_(queues_.size(), 0),
-      defrag_(IpDefragmenter::Config{.policy = config_.defaults.policy}) {}
+      defrag_(IpDefragmenter::Config{.policy = config_.defaults.policy}) {
+  if (config_.use_fdir || config_.dynamic_load_balance) {
+    fdir_outbox_ = std::make_unique<FdirCommandQueue>(kFdirOutboxCapacity);
+  }
+}
+
+FdirApplied apply_fdir_commands(FdirCommandQueue& outbox, nic::Nic& nic,
+                                Timestamp now) {
+  FdirApplied applied;
+  base::SerialGuard consumer(outbox.consumer());
+  while (auto cmd = outbox.try_pop()) {
+    switch (cmd->kind) {
+      case FdirCommand::Kind::kInstallCutoff: {
+        // A rejected filter leaves enforcement in software (the kernel-level
+        // cutoff still discards); the stream retries once its lifetime ends.
+        bool any = false;
+        for (const auto& f :
+             nic::make_cutoff_filters(cmd->tuple, cmd->expires)) {
+          if (nic.fdir().add(f) != 0) {
+            any = true;
+            continue;
+          }
+          ++applied.install_failures;
+          SCAP_TRACE_EVENT(nic.tracer(), trace::TraceEventType::kFdirInstall,
+                           0, now, 0, 2);
+        }
+        if (any) ++(cmd->reinstall ? applied.reinstalls : applied.installs);
+        break;
+      }
+      case FdirCommand::Kind::kRemove:
+        applied.removals += nic.fdir().remove_tuple(cmd->tuple);
+        if (cmd->also_reversed) {
+          applied.removals += nic.fdir().remove_tuple(cmd->tuple.reversed());
+        }
+        break;
+    }
+  }
+  return applied;
+}
+
+std::size_t expire_fdir_filters(nic::Nic& nic, Timestamp now) {
+  const std::size_t expired = nic.fdir().expire(now).size();
+  for (std::size_t i = 0; i < expired; ++i) {
+    SCAP_TRACE_EVENT(nic.tracer(), trace::TraceEventType::kFdirEvict, 0, now,
+                     0, 1);
+  }
+  return expired;
+}
+
+void ScapKernel::apply_fdir_outbox(Timestamp now) {
+  const FdirApplied applied = apply_fdir_commands(*fdir_outbox_, *nic_, now);
+  stats_.fdir_installs += applied.installs;
+  stats_.fdir_reinstalls += applied.reinstalls;
+  stats_.fdir_removals += applied.removals;
+  stats_.fdir_install_failures += applied.install_failures;
+}
+
+bool ScapKernel::queue_fdir(const FdirCommand& cmd, Timestamp now) {
+  if (fdir_outbox_->try_push(cmd)) return true;
+  if (nic_ == nullptr) return false;
+  apply_fdir_outbox(now);
+  return fdir_outbox_->try_push(cmd);
+}
 
 void ScapKernel::maybe_rebalance(StreamRecord& rec, Timestamp now) {
   if (!config_.dynamic_load_balance || nic_ == nullptr) return;
@@ -287,6 +349,8 @@ void ScapKernel::maybe_rebalance(StreamRecord& rec, Timestamp now) {
     if (core_streams_[i] < core_streams_[target]) target = i;
   }
   if (target == core) return;
+  // Queued removals go first, as if they had been written when queued.
+  apply_fdir_outbox(now);
   std::uint64_t installed_ids[2] = {0, 0};
   int installed = 0;
   for (const FiveTuple& tuple : {rec.tuple, rec.tuple.reversed()}) {
@@ -402,16 +466,14 @@ void ScapKernel::emit_data(StreamRecord& rec, Chunk&& chunk,
   ev.stream = snapshot(rec);
   ev.app_mask = app_mask_for(rec.tuple);
   if (transfer_block && rec.chunk_alloc != 0) {
-    ev.chunk_addr = rec.chunk_addr;
     ev.chunk_alloc = rec.chunk_alloc;
-    rec.chunk_addr = 0;
     rec.chunk_alloc = 0;
   } else {
     // The chunk's bytes exist but no open block maps to them (e.g. the
     // second chunk completed by one large packet): force-account it.
     const auto size = static_cast<std::uint32_t>(chunk.data.size());
     if (size > 0) {
-      ev.chunk_addr = allocator_.allocate_forced(size);
+      allocator_.allocate_forced(size);
       ev.chunk_alloc = size;
     }
   }
@@ -444,10 +506,12 @@ void ScapKernel::emit_terminated(StreamRecord& rec) {
 void ScapKernel::ensure_block(StreamRecord& rec) {
   if (rec.chunk_alloc != 0) return;
   const std::uint32_t size = rec.params.chunk_size;
-  if (auto addr = allocator_.allocate(size)) {
-    rec.chunk_addr = *addr;
-    rec.chunk_alloc = size;
-  }
+  if (allocator_.allocate(size)) rec.chunk_alloc = size;
+}
+
+void ScapKernel::release_block(StreamRecord& rec) {
+  allocator_.release(rec.chunk_alloc);
+  rec.chunk_alloc = 0;
 }
 
 void ScapKernel::flush_chunks(StreamRecord& rec, std::uint32_t error_bits) {
@@ -462,53 +526,28 @@ void ScapKernel::flush_chunks(StreamRecord& rec, std::uint32_t error_bits) {
 
 void ScapKernel::install_fdir(StreamRecord& rec, Timestamp now, bool reinstall,
                               PacketOutcome& outcome) {
-  if (!config_.use_fdir || (nic_ == nullptr && fdir_queue_ == nullptr)) return;
-  if (rec.tuple.protocol != kProtoTcp) return;
-  if (reinstall) {
-    // Doubled timeout: long-lived flows are evicted only O(log) times.
-    rec.fdir_timeout = rec.fdir_timeout + rec.fdir_timeout;
-    if (fdir_queue_ == nullptr) ++stats_.fdir_reinstalls;
+  if (!config_.use_fdir || rec.tuple.protocol != kProtoTcp) return;
+  // Doubled timeout on re-install: long-lived flows are evicted only
+  // O(log) times.
+  rec.fdir_timeout = reinstall ? rec.fdir_timeout + rec.fdir_timeout
+                               : config_.fdir_base_timeout;
+  rec.fdir_expires = now + rec.fdir_timeout;
+  FdirCommand cmd;
+  cmd.kind = FdirCommand::Kind::kInstallCutoff;
+  cmd.tuple = rec.tuple;
+  cmd.expires = rec.fdir_expires;
+  cmd.reinstall = reinstall;
+  const bool queued = queue_fdir(cmd, now);
+  if (queued) {
+    rec.fdir_installed = true;
+    outcome.fdir_updates += static_cast<int>(nic::kCutoffFilters);
   } else {
-    rec.fdir_timeout = config_.fdir_base_timeout;
-    if (fdir_queue_ == nullptr) ++stats_.fdir_installs;
+    // Outbox full: none of the filters reaches the NIC.
+    stats_.fdir_install_failures += nic::kCutoffFilters;
   }
-  bool any_installed = false;
-  if (fdir_queue_ != nullptr) {
-    // Sharded mode: enqueue the install for the NIC-owning producer to
-    // apply between batches. No shared lock, no NIC dereference here. The
-    // install is counted at apply time by KernelShards::service_fdir —
-    // counting here would overstate fdir_installs whenever the hardware
-    // rejects the filter (the optimistic-count skew).
-    FdirCommand cmd;
-    cmd.kind = FdirCommand::Kind::kInstallCutoff;
-    cmd.tuple = rec.tuple;
-    cmd.expires = now + rec.fdir_timeout;
-    cmd.reinstall = reinstall;
-    if (fdir_queue_->try_push(cmd)) {
-      any_installed = true;
-      ++outcome.fdir_updates;
-    } else {
-      // Command queue full: enforcement stays in software, like a
-      // hardware-rejected filter on the direct path.
-      ++stats_.fdir_install_failures;
-    }
-  } else {
-    for (const auto& f :
-         nic::make_cutoff_filters(rec.tuple, now + rec.fdir_timeout)) {
-      if (nic_->fdir().add(f) == 0) {
-        // Hardware rejected the filter: enforcement stays in software (the
-        // kernel-level cutoff still discards), and a later packet retries.
-        ++stats_.fdir_install_failures;
-        continue;
-      }
-      any_installed = true;
-      ++outcome.fdir_updates;
-    }
-  }
-  rec.fdir_installed = any_installed;
   SCAP_TRACE_EVENT(
       tracer_, trace::TraceEventType::kFdirInstall, rec.core, now, rec.id,
-      static_cast<std::uint16_t>(any_installed ? (reinstall ? 1 : 0) : 2));
+      static_cast<std::uint16_t>(queued ? (reinstall ? 1 : 0) : 2));
 }
 
 void ScapKernel::trigger_cutoff(StreamRecord& rec, Timestamp now,
@@ -518,45 +557,26 @@ void ScapKernel::trigger_cutoff(StreamRecord& rec, Timestamp now,
   // Final data event for whatever the stream accumulated (paper §5.4: a
   // final chunk event is created when the cutoff is reached).
   flush_chunks(rec, 0);
-  // Release the open block — no more data will be written.
-  if (rec.chunk_alloc) {
-    allocator_.release(rec.chunk_addr, rec.chunk_alloc);
-    rec.chunk_addr = 0;
-    rec.chunk_alloc = 0;
-  }
+  release_block(rec);
   install_fdir(rec, now, /*reinstall=*/false, outcome);
 }
 
-void ScapKernel::terminate(StreamRecord& rec, StreamStatus status,
-                           Timestamp now, PacketOutcome* outcome) {
+void ScapKernel::close_stream(StreamRecord& rec, StreamStatus status,
+                              Timestamp now) {
   rec.status = status;
   flush_chunks(rec, 0);
-  if (rec.chunk_alloc) {
-    allocator_.release(rec.chunk_addr, rec.chunk_alloc);
-    rec.chunk_addr = 0;
-    rec.chunk_alloc = 0;
-  }
-  if (rec.kept_alloc) {
-    allocator_.release(0, rec.kept_alloc);
-    rec.kept_alloc = 0;
-  }
-  if (rec.fdir_installed && (nic_ != nullptr || fdir_queue_ != nullptr)) {
-    if (fdir_queue_ != nullptr) {
-      FdirCommand cmd;
-      cmd.kind = FdirCommand::Kind::kRemove;
-      cmd.tuple = rec.tuple;
-      cmd.also_reversed = rec.opposite == kInvalidStreamId;
-      // Removals are counted at apply time (service_fdir), when filters
-      // actually come out of the table — not on enqueue.
-      (void)fdir_queue_->try_push(cmd);
-    } else {
-      stats_.fdir_removals += nic_->fdir().remove_tuple(rec.tuple);
-      // Steering filters are installed for both directions; if no opposite
-      // record exists to clean up the reverse one, do it here.
-      if (rec.opposite == kInvalidStreamId) {
-        stats_.fdir_removals += nic_->fdir().remove_tuple(rec.tuple.reversed());
-      }
-    }
+  release_block(rec);
+  allocator_.release(rec.kept_alloc);
+  rec.kept_alloc = 0;
+  if (rec.fdir_installed) {
+    FdirCommand cmd;
+    cmd.kind = FdirCommand::Kind::kRemove;
+    cmd.tuple = rec.tuple;
+    // Steering filters are installed for both directions; if no opposite
+    // record exists to clean up the reverse one, do it here.
+    cmd.also_reversed = rec.opposite == kInvalidStreamId;
+    // A dropped removal leaves the filters to their timeout.
+    (void)queue_fdir(cmd, now);
     rec.fdir_installed = false;
     SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kFdirEvict, rec.core,
                      now, rec.id, 0);
@@ -565,6 +585,11 @@ void ScapKernel::terminate(StreamRecord& rec, StreamStatus status,
   auto& count = core_streams_[static_cast<std::size_t>(rec.core)];
   if (count > 0) --count;
   emit_terminated(rec);
+}
+
+void ScapKernel::terminate(StreamRecord& rec, StreamStatus status,
+                           Timestamp now, PacketOutcome* outcome) {
+  close_stream(rec, status, now);
   if (outcome) outcome->terminated_stream = true;
   table_.remove(rec);
 }
@@ -659,10 +684,11 @@ void ScapKernel::handle_payload(StreamRecord& rec, const Packet& pkt,
     stats_.pkts_cutoff++;
     stats_.bytes_cutoff += pkt.wire_payload_len();
     outcome.verdict = Verdict::kCutoffDiscard;
-    // NIC filter timed out but the stream still lives: re-install with a
-    // doubled timeout (paper §5.5).
-    if (rec.cutoff_exceeded && config_.use_fdir && nic_ != nullptr &&
-        !rec.fdir_installed && !rec.discard_requested) {
+    // The filter lifetime the kernel asked for has passed but the stream
+    // still lives: re-install with a doubled timeout (paper §5.5). This
+    // also retries filters the NIC rejected or the outbox dropped.
+    if (rec.cutoff_exceeded && config_.use_fdir && !rec.discard_requested &&
+        now >= rec.fdir_expires) {
       install_fdir(rec, now, /*reinstall=*/true, outcome);
     }
     return;
@@ -791,6 +817,7 @@ PacketOutcome ScapKernel::handle_packet(const Packet& pkt, Timestamp now,
   SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kPacketVerdict, core, now,
                    out.stream_id, static_cast<std::uint16_t>(out.verdict),
                    pkt.wire_len());
+  if (owns_fdir()) apply_fdir_outbox(now);
   return out;
 }
 
@@ -823,6 +850,7 @@ PacketOutcome ScapKernel::handle_batch(std::span<const Packet> pkts,
     total.terminated_stream = total.terminated_stream || out.terminated_stream;
     total.fdir_updates += out.fdir_updates;
   }
+  if (owns_fdir()) apply_fdir_outbox(now);
   return total;
 }
 
@@ -999,49 +1027,14 @@ void ScapKernel::run_maintenance(Timestamp now) {
 
   // Inactivity expiry, oldest first (paper §5.2).
   table_.expire_idle(now, [&](StreamRecord& rec) {
-    rec.status = StreamStatus::kClosedTimeout;
-    flush_chunks(rec, 0);
-    if (rec.chunk_alloc) {
-      allocator_.release(rec.chunk_addr, rec.chunk_alloc);
-      rec.chunk_addr = 0;
-      rec.chunk_alloc = 0;
-    }
-    if (rec.kept_alloc) {
-      allocator_.release(0, rec.kept_alloc);
-      rec.kept_alloc = 0;
-    }
-    if (rec.fdir_installed && (nic_ != nullptr || fdir_queue_ != nullptr)) {
-      if (fdir_queue_ != nullptr) {
-        FdirCommand cmd;
-        cmd.kind = FdirCommand::Kind::kRemove;
-        cmd.tuple = rec.tuple;
-        // Counted at apply time by service_fdir, like every queue-mode
-        // FDIR mutation.
-        (void)fdir_queue_->try_push(cmd);
-      } else {
-        stats_.fdir_removals += nic_->fdir().remove_tuple(rec.tuple);
-      }
-      rec.fdir_installed = false;
-      SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kFdirEvict, rec.core,
-                       now, rec.id, 0);
-    }
-    flush_watch_.erase(rec.id);
-    auto& count = core_streams_[static_cast<std::size_t>(rec.core)];
-    if (count > 0) --count;
-    emit_terminated(rec);
+    close_stream(rec, StreamStatus::kClosedTimeout, now);
   });
 
-  // FDIR filter timeouts (paper §5.5): the stream may still be alive; if a
-  // packet shows up later the filter is re-installed with a doubled timeout.
-  if (nic_ != nullptr && config_.use_fdir) {
-    for (const auto& f : nic_->fdir().expire(now)) {
-      StreamRecord* rec = table_.find(f.tuple);
-      if (rec != nullptr) rec->fdir_installed = false;
-      ++stats_.fdir_removals;
-      SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kFdirEvict,
-                       rec != nullptr ? rec->core : 0, now,
-                       rec != nullptr ? rec->id : 0, 1);
-    }
+  // FDIR filter timeouts (paper §5.5): the stream may still be alive; its
+  // next cutoff discard re-installs with a doubled timeout.
+  if (owns_fdir() && config_.use_fdir) {
+    apply_fdir_outbox(now);
+    stats_.fdir_removals += expire_fdir_filters(*nic_, now);
   }
 
   // Flush timeouts for streams that asked for timely delivery.
@@ -1071,6 +1064,7 @@ void ScapKernel::terminate_all(Timestamp now) {
   while (StreamRecord* rec = table_.oldest()) {
     terminate(*rec, StreamStatus::kClosedTimeout, now, nullptr);
   }
+  if (owns_fdir()) apply_fdir_outbox(now);
   SCAP_INVARIANT_REPORT(check_invariants());
 }
 
@@ -1101,11 +1095,7 @@ bool ScapKernel::discard_stream(StreamId id) {
   StreamRecord* rec = table_.by_id(id);
   if (rec == nullptr) return false;
   rec->discard_requested = true;
-  if (rec->chunk_alloc) {
-    allocator_.release(rec->chunk_addr, rec->chunk_alloc);
-    rec->chunk_addr = 0;
-    rec->chunk_alloc = 0;
-  }
+  release_block(*rec);
   return true;
 }
 

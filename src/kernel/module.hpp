@@ -2,6 +2,12 @@
 // stream reassembly, cutoff enforcement with FDIR offload, prioritized
 // packet loss, event generation, and inactivity expiry.
 //
+// FDIR offload is split between the kernel and the NIC's owner: the kernel
+// decides which cutoff filters to install, remove and re-install, and
+// queues them as FdirCommands in its outbox; it never writes one to the
+// NIC. A kernel built with a Nic* is that NIC's owner and applies its own
+// outbox; a shard kernel's is applied by the producer (DESIGN.md §12).
+//
 // This class is the software-interrupt handler of Figure 2: it consumes
 // decoded packets (one instance may serve multiple simulated cores — the
 // `core` argument selects the event queue, mirroring the per-core kernel
@@ -13,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <set>
 #include <span>
 #include <string>
@@ -58,7 +65,8 @@ struct KernelConfig {
 
   PplConfig ppl;
 
-  /// Offload cutoff enforcement to NIC FDIR filters when a NIC is attached.
+  /// Offload cutoff enforcement to NIC FDIR filters: the kernel queues
+  /// them in its outbox for the NIC's owner to apply.
   bool use_fdir = false;
   Duration fdir_base_timeout = Duration::from_sec(10);
 
@@ -181,13 +189,14 @@ struct KernelStats {
   friend bool operator==(const KernelStats&, const KernelStats&) = default;
 };
 
-/// A deferred NIC-programming request from a sharded worker (DESIGN.md
-/// §12). In the sharded datapath the NIC belongs to the producer thread;
-/// worker shards must never touch it, so cutoff installs and filter
-/// removals travel through a bounded MPSC queue instead of a shared lock.
-/// The queue is lossy by design: FDIR offload is an optimization (the
-/// kernel-level cutoff still discards in software), so a full queue counts
-/// an install failure and the stream carries on unoffloaded.
+/// A cutoff-filter request from a kernel (DESIGN.md §12). No kernel writes
+/// cutoff filters: installs and removals go into the kernel's own bounded
+/// outbox, and whoever owns the NIC applies them with apply_fdir_commands —
+/// the kernel itself when it was built with a Nic*, else the producer in
+/// KernelShards::service_fdir. A full outbox drops the command: FDIR
+/// offload is an optimization (the kernel-level cutoff still discards in
+/// software), so a dropped install counts its filters as install failures
+/// and the stream retries once the filter lifetime it asked for has passed.
 struct FdirCommand {
   enum class Kind : std::uint8_t { kInstallCutoff, kRemove };
   Kind kind = Kind::kInstallCutoff;
@@ -196,7 +205,7 @@ struct FdirCommand {
   /// doubling fdir_timeout).
   Timestamp expires{};
   /// kInstallCutoff: re-install after a filter timeout (doubled timeout),
-  /// so apply-time counting lands in fdir_reinstalls, not fdir_installs.
+  /// counted in fdir_reinstalls, not fdir_installs.
   bool reinstall = false;
   /// kRemove: also drop the reverse-direction filter (set when no
   /// opposite-direction stream record remains to clean it up).
@@ -204,6 +213,28 @@ struct FdirCommand {
 };
 
 using FdirCommandQueue = MpscQueue<FdirCommand>;
+
+/// What applying FDIR commands did to the NIC, under the one counting
+/// rule: an install or reinstall counts when the NIC accepts at least one
+/// of its filters, every filter the NIC rejects is one install failure,
+/// and removals count the filters actually taken out.
+struct FdirApplied {
+  std::uint64_t installs = 0;
+  std::uint64_t reinstalls = 0;
+  std::uint64_t removals = 0;
+  std::uint64_t install_failures = 0;
+};
+
+/// The one FDIR applier: pop every command in `outbox` (its single
+/// consumer) and apply it to `nic` in queue order. Each rejected filter is
+/// recorded on the NIC's tracer as kFdirInstall a16=2, stream id 0, at `now`.
+FdirApplied apply_fdir_commands(FdirCommandQueue& outbox, nic::Nic& nic,
+                                Timestamp now);
+
+/// Expire `nic`'s timed-out filters and return how many came out, each
+/// recorded on the NIC's tracer as kFdirEvict a16=1, stream id 0. Each NIC
+/// has exactly one caller of this: its owner.
+std::size_t expire_fdir_filters(nic::Nic& nic, Timestamp now);
 
 class ScapKernel {
  public:
@@ -254,7 +285,7 @@ class ScapKernel {
   /// The consumer must release each data event's chunk accounting once the
   /// application is done with it.
   void release_chunk(const Event& ev) SCAP_REQUIRES(serial_) {
-    if (ev.chunk_alloc) allocator_.release(ev.chunk_addr, ev.chunk_alloc);
+    allocator_.release(ev.chunk_alloc);
   }
 
   // --- runtime control (backing for the Scap API) -------------------------
@@ -293,19 +324,12 @@ class ScapKernel {
   }
   trace::Tracer* tracer() const { return tracer_; }
 
-  /// Route FDIR programming through a command queue instead of a direct
-  /// NIC pointer (sharded mode: the kernel is a worker shard and must not
-  /// touch the producer-owned NIC). Like set_tracer, wire before the first
-  /// packet. With a queue attached the kernel enqueues install/remove
-  /// commands (counting a full queue as fdir_install_failures) and never
-  /// dereferences nic_ for filter work; hardware-side filter expiry is then
-  /// the queue consumer's job, so the doubling-timeout *reinstall* path is
-  /// inert in this mode — a deliberate simplification, see DESIGN.md §12.
-  void set_fdir_queue(FdirCommandQueue* queue) SCAP_REQUIRES(serial_) {
-    SCAP_ASSERT(stats_.pkts_seen == 0,
-                "FDIR queue must attach before the first packet");
-    fdir_queue_ = queue;
-  }
+  /// The FDIR commands this kernel queued and nobody has applied yet; null
+  /// unless it programs filters (use_fdir or dynamic_load_balance). Set at
+  /// construction. A kernel built with a Nic* applies it itself; otherwise
+  /// the NIC's owner drains it (KernelShards::service_fdir) from its own
+  /// thread — the queue's one consumer.
+  FdirCommandQueue* fdir_outbox() const { return fdir_outbox_.get(); }
 
   const KernelStats& stats() const SCAP_REQUIRES(serial_) {
     // Pool occupancy is owned by the flow table; mirror it on read so the
@@ -334,6 +358,13 @@ class ScapKernel {
   const IpDefragmenter& defragmenter() const { return defrag_; }
 
  private:
+  /// Outbox slots: a NIC owner applies the outbox when it fills, so only
+  /// kernels whose NIC is owned elsewhere ever drop a command.
+  static constexpr std::size_t kFdirOutboxCapacity = 1024;
+
+  /// This kernel owns its NIC and applies its own FDIR commands.
+  bool owns_fdir() const { return nic_ != nullptr && fdir_outbox_ != nullptr; }
+
   /// handle_packet minus the maintenance-timer check (the batch path runs
   /// that once per batch).
   PacketOutcome handle_one(const Packet& pkt, Timestamp now, int core)
@@ -354,10 +385,23 @@ class ScapKernel {
                       PacketOutcome& outcome) SCAP_REQUIRES(serial_);
   void trigger_cutoff(StreamRecord& rec, Timestamp now,
                       PacketOutcome& outcome) SCAP_REQUIRES(serial_);
+  /// Close a stream: flush, release its memory, queue its filter removal
+  /// and emit the termination event. The record stays in the table.
+  void close_stream(StreamRecord& rec, StreamStatus status, Timestamp now)
+      SCAP_REQUIRES(serial_);
+  /// close_stream, then take the record out of the table.
   void terminate(StreamRecord& rec, StreamStatus status, Timestamp now,
                  PacketOutcome* outcome) SCAP_REQUIRES(serial_);
+  /// Give back the open chunk's block: no more data will be written to it.
+  void release_block(StreamRecord& rec) SCAP_REQUIRES(serial_);
   void install_fdir(StreamRecord& rec, Timestamp now, bool reinstall,
                     PacketOutcome& outcome) SCAP_REQUIRES(serial_);
+  /// Queue one FDIR command. A NIC owner makes room by applying the outbox
+  /// first, so it never drops one; false when the command was dropped.
+  bool queue_fdir(const FdirCommand& cmd, Timestamp now)
+      SCAP_REQUIRES(serial_);
+  /// NIC owner only: apply the outbox to nic_ and count the outcome.
+  void apply_fdir_outbox(Timestamp now) SCAP_REQUIRES(serial_);
   void flush_chunks(StreamRecord& rec, std::uint32_t error_bits)
       SCAP_REQUIRES(serial_);
 
@@ -393,10 +437,9 @@ class ScapKernel {
   /// Per-core trace rings are recorded into from the serial domain only;
   /// the pointer is set once (set_tracer) before the first packet.
   trace::Tracer* tracer_ SCAP_PT_GUARDED_BY(serial_) = nullptr;
-  /// Sharded-mode FDIR command channel (set_fdir_queue). The queue itself
-  /// is MPSC-safe on the push side, so no guard beyond serial_ for the
-  /// pointer; set once before the first packet.
-  FdirCommandQueue* fdir_queue_ SCAP_PT_GUARDED_BY(serial_) = nullptr;
+  /// FDIR commands awaiting the NIC's owner (fdir_outbox()). Pushed from
+  /// the serial domain only; popped by the one applier.
+  std::unique_ptr<FdirCommandQueue> fdir_outbox_;
 };
 
 }  // namespace scap::kernel

@@ -8,7 +8,6 @@
 
 #include "base/assert.hpp"
 #include "faultinject/faultinject.hpp"
-#include "nic/fdir.hpp"
 
 namespace scap::kernel {
 namespace {
@@ -50,10 +49,6 @@ KernelShards::KernelShards(const KernelConfig& config, int num_shards,
     : opts_(opts),
       rss_(symmetric_rss_key(), num_shards > 0 ? num_shards : 1) {
   const int n = rss_.num_queues();
-  if (config.use_fdir) {
-    fdir_queue_ =
-        std::make_unique<FdirCommandQueue>(opts_.fdir_queue_capacity);
-  }
   const KernelConfig cfg = shard_config(config, n);
   shards_.reserve(static_cast<std::size_t>(n));
   pushed_.assign(static_cast<std::size_t>(n), 0);
@@ -80,7 +75,6 @@ KernelShards::KernelShards(const KernelConfig& config, int num_shards,
     base::MutexLock lock(s.mu);
     base::SerialGuard serial(s.kernel.serial());
     if (s.tracer != nullptr) s.kernel.set_tracer(s.tracer.get());
-    if (fdir_queue_ != nullptr) s.kernel.set_fdir_queue(fdir_queue_.get());
     refresh_snapshot(s);
   }
 }
@@ -414,45 +408,22 @@ void KernelShards::flush() {
 }
 
 void KernelShards::service_fdir(nic::Nic& nic, Timestamp now) {
-  if (fdir_queue_ == nullptr) return;
-  base::SerialGuard consumer(fdir_queue_->consumer());
-  while (auto cmd = fdir_queue_->try_pop()) {
-    switch (cmd->kind) {
-      case FdirCommand::Kind::kInstallCutoff: {
-        // Apply-time counting: the install is counted only when the
-        // hardware actually accepts a filter, so a rejection lands in
-        // fdir_install_failures instead of overstating fdir_installs (the
-        // shard kernels no longer count at enqueue). The software cutoff
-        // still enforces either way.
-        int installed = 0;
-        for (const auto& f :
-             nic::make_cutoff_filters(cmd->tuple, cmd->expires)) {
-          if (nic.fdir().add(f) != 0) ++installed;
-        }
-        if (installed > 0) {
-          (cmd->reinstall ? fdir_applied_reinstalls_ : fdir_applied_installs_)
-              .fetch_add(1, std::memory_order_relaxed);
-        } else {
-          fdir_apply_failures_.fetch_add(1, std::memory_order_relaxed);
-        }
-        break;
-      }
-      case FdirCommand::Kind::kRemove: {
-        std::uint64_t removed = nic.fdir().remove_tuple(cmd->tuple);
-        if (cmd->also_reversed) {
-          removed += nic.fdir().remove_tuple(cmd->tuple.reversed());
-        }
-        fdir_applied_removals_.fetch_add(removed, std::memory_order_relaxed);
-        break;
-      }
-    }
+  // The inline shard's kernel owns the NIC and services it itself.
+  if (inline_ || shards_.front()->kernel.fdir_outbox() == nullptr) return;
+  for (const auto& sp : shards_) {
+    const FdirApplied applied =
+        apply_fdir_commands(*sp->kernel.fdir_outbox(), nic, now);
+    fdir_applied_installs_.fetch_add(applied.installs,
+                                     std::memory_order_relaxed);
+    fdir_applied_reinstalls_.fetch_add(applied.reinstalls,
+                                       std::memory_order_relaxed);
+    fdir_applied_removals_.fetch_add(applied.removals,
+                                     std::memory_order_relaxed);
+    fdir_apply_failures_.fetch_add(applied.install_failures,
+                                   std::memory_order_relaxed);
   }
-  // Hardware filter timers: shard kernels cannot see the FDIR table, so
-  // expiry is serviced here; expired filters count as removals so the
-  // removal-conservation law stays exact. The doubling-timeout reinstall
-  // path is inert in queue mode (the shard's rec.fdir_installed stays
-  // set) — a deliberate simplification, DESIGN.md §12.
-  fdir_applied_removals_.fetch_add(nic.fdir().expire(now).size(),
+  // Hardware filter timers: the producer is this NIC's one expiry servicer.
+  fdir_applied_removals_.fetch_add(expire_fdir_filters(nic, now),
                                    std::memory_order_relaxed);
 }
 
@@ -642,9 +613,8 @@ void KernelShards::fold_producer_counters(KernelStats& into) const {
     fold_occupancy_peak(into, *sp);
   }
   into.worker_stalls += worker_stalls_.load(std::memory_order_relaxed);
-  // Apply-time FDIR accounting (service_fdir): in queue mode the per-shard
-  // kernels no longer count installs/removals, these producer-side tallies
-  // are the authoritative ones.
+  // FDIR outcomes as service_fdir applied them: threaded shard kernels
+  // only queue commands, so these producer-side tallies are the counts.
   into.fdir_installs += fdir_applied_installs_.load(std::memory_order_relaxed);
   into.fdir_reinstalls +=
       fdir_applied_reinstalls_.load(std::memory_order_relaxed);

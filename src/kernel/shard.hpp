@@ -10,12 +10,12 @@
 //
 // Two ways to drive the shards, fixed at construction:
 //   * threaded — one worker thread per shard, fed from a single producer
-//     through per-shard lock-free SPSC rings; FDIR programming crosses back
-//     to the NIC-owning producer through a bounded MPSC command queue
-//     (FdirCommand), never a lock;
+//     through per-shard lock-free SPSC rings; each shard kernel queues its
+//     FDIR commands in its own outbox, and the NIC-owning producer applies
+//     them in service_fdir, never under a lock;
 //   * inline — one shard, no threads: the producer is the consumer and
 //     processes each submitted run of packets itself, and the shard kernel
-//     programs the producer-owned NIC directly (the zero-worker Capture).
+//     owns the NIC, so it applies its own outbox (the zero-worker Capture).
 //
 // Locking model (every lock here is per-shard and batch-granular):
 //   * ring producer/consumer SerialDomains — structural single-writer
@@ -96,8 +96,6 @@ class KernelShards {
     /// Per-shard tracer config (single-ring; the shard kernel records on
     /// core 0 of its own tracer). Disabled when unset.
     std::optional<trace::TraceConfig> trace;
-    /// FDIR command queue slots (created only when config.use_fdir).
-    std::size_t fdir_queue_capacity = 1024;
 
     /// Watermark-based ring admission (DESIGN.md §13). 0 (the default)
     /// disables admission: the producer backpressures on a full ring and
@@ -147,10 +145,10 @@ class KernelShards {
   KernelShards(const KernelConfig& config, int num_shards);
   KernelShards(const KernelConfig& config, int num_shards, Options opts);
   /// Inline shards: one shard, never a worker thread. The shard kernel
-  /// programs `nic` directly — so the §5.5 doubling-timeout reinstall path
-  /// and kernel-time FDIR counting apply, and there is no command queue —
-  /// and records on `tracer` (may be null), which the producer may share
-  /// for its own NIC events. Both must outlive the shards.
+  /// owns `nic`: it applies its own FDIR outbox and expires the NIC's
+  /// filters in its maintenance pass. It records on `tracer` (may be
+  /// null), which the producer may share for its own NIC events. Both must
+  /// outlive the shards.
   KernelShards(const KernelConfig& config, nic::Nic& nic,
                trace::Tracer* tracer);
   ~KernelShards();
@@ -168,7 +166,6 @@ class KernelShards {
   /// Producer-side tracer carrying kRingShed/kWorkerStall events (null when
   /// tracing is disabled). Quiescent readers only, like tracer(int).
   trace::Tracer* producer_tracer() { return producer_tracer_.get(); }
-  FdirCommandQueue* fdir_queue() { return fdir_queue_.get(); }
 
   // --- producer side ------------------------------------------------------
   /// The single-producer capability: whoever holds it is the one thread
@@ -210,10 +207,10 @@ class KernelShards {
   /// empty and the in-flight worker batches retired).
   SCAP_COLD void flush() SCAP_REQUIRES(producer_);
 
-  /// Apply queued FDIR commands to the producer-owned NIC and service
-  /// hardware filter expiry. Workers only enqueue; this is the single
-  /// consumer of the command queue. A no-op for inline shards, whose kernel
-  /// programs and expires the filters itself.
+  /// Apply every threaded shard kernel's FDIR outbox to the producer-owned
+  /// NIC (apply_fdir_commands, the outboxes' one consumer), then expire
+  /// its timed-out filters. A no-op for inline shards, whose kernel owns
+  /// the NIC and services it itself.
   SCAP_COLD void service_fdir(nic::Nic& nic, Timestamp now)
       SCAP_REQUIRES(producer_);
 
@@ -377,7 +374,7 @@ class KernelShards {
   /// fold_shard_shed so the taint pass (tools/scap_taint.py) sees the
   /// schedule coupling drain into exactly one registry-classified field.
   static void fold_occupancy_peak(KernelStats& into, const Shard& s);
-  /// Fold every producer-side counter (shed, stalls, apply-time FDIR) into
+  /// Fold every producer-side counter (shed, stalls, applied FDIR) into
   /// an aggregate snapshot.
   void fold_producer_counters(KernelStats& into) const;
   /// Re-publish the shard's post-batch snapshot (kernel stats + trace
@@ -392,7 +389,6 @@ class KernelShards {
   const bool inline_ = false;
   nic::RssEngine rss_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<FdirCommandQueue> fdir_queue_;
   DrainFn drain_;
   std::vector<std::jthread> workers_;
   mutable base::SerialDomain producer_;
@@ -420,11 +416,9 @@ class KernelShards {
   std::atomic<std::uint64_t> producer_trace_recorded_{0};
   std::atomic<std::uint64_t> producer_trace_dropped_{0};
 
-  /// Watchdog + apply-time FDIR accounting (single writer: the producer;
-  /// folded into stats()/check_invariants from any thread). service_fdir
-  /// counts installs/removals when they are actually applied to the NIC,
-  /// so a hardware rejection can no longer overstate fdir_installs
-  /// (the queue-mode counting-skew fix).
+  /// Watchdog + FDIR accounting (single writer: the producer; folded into
+  /// stats()/check_invariants from any thread). service_fdir adds what
+  /// apply_fdir_commands reports, under its one counting rule.
   std::atomic<std::uint64_t> worker_stalls_{0};
   std::atomic<std::uint64_t> fdir_applied_installs_{0};
   std::atomic<std::uint64_t> fdir_applied_reinstalls_{0};

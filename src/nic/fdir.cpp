@@ -146,24 +146,22 @@ std::vector<FdirFilter> FdirTable::expire(Timestamp now) {
   return expired;
 }
 
-std::vector<FdirFilter> make_cutoff_filters(const FiveTuple& tuple,
-                                            Timestamp expires) {
+std::array<FdirFilter, kCutoffFilters> make_cutoff_filters(
+    const FiveTuple& tuple, Timestamp expires) {
   // Match the TCP flags byte (low 6 bits of the flags halfword: URG ACK PSH
   // RST SYN FIN). Two filters: flags == ACK, and flags == ACK|PSH. Anything
   // carrying SYN, FIN, or RST fails both matches and reaches the host.
-  std::vector<FdirFilter> filters;
-  for (std::uint16_t flags : {std::uint16_t{kTcpAck},
-                              std::uint16_t{kTcpAck | kTcpPsh}}) {
-    FdirFilter f;
+  std::array<FdirFilter, kCutoffFilters> filters;
+  const std::uint16_t flags[] = {kTcpAck, kTcpAck | kTcpPsh};
+  for (std::size_t i = 0; i < filters.size(); ++i) {
+    FdirFilter& f = filters[i];
     f.tuple = tuple;
     f.action = FdirAction::kDrop;
     f.has_flex = true;
     f.flex_offset = kTcpFlagsFlexOffset;
-    f.flex_value = flags;
+    f.flex_value = flags[i];
     f.flex_mask = 0x003f;  // the six flag bits
     f.expires = expires;
-    // scap-lint: allow(hot-alloc) per-stream filter install (four filters per cutoff decision), not per packet (DESIGN.md §14 inventory)
-    filters.push_back(f);
   }
   return filters;
 }

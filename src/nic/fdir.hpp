@@ -25,6 +25,7 @@
 // empty table costs nothing to build or to match against.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -128,10 +129,13 @@ class FdirTable {
 /// with no IP options (Ethernet 14 + IPv4 20 + TCP offset 12).
 constexpr std::uint8_t kTcpFlagsFlexOffset = 14 + 20 + 12;
 
+/// Filters one cutoff install places (make_cutoff_filters).
+inline constexpr std::size_t kCutoffFilters = 2;
+
 /// Build the paper's two data-packet-dropping filters for one stream
 /// direction: one matching pure-ACK segments, one matching ACK|PSH
 /// (paper §5.5). RST/FIN packets fall through to the host.
-std::vector<FdirFilter> make_cutoff_filters(const FiveTuple& tuple,
-                                            Timestamp expires);
+std::array<FdirFilter, kCutoffFilters> make_cutoff_filters(
+    const FiveTuple& tuple, Timestamp expires);
 
 }  // namespace scap::nic

@@ -76,6 +76,8 @@ class Nic {
   /// kNicSteer for FDIR queue-steering hits; plain RSS stays untraced —
   /// it is every packet, and the kernel's verdict event already covers it).
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
+  /// Also where the NIC's owner records FDIR rejections and expiries.
+  trace::Tracer* tracer() const { return tracer_; }
 
  private:
   RssEngine rss_;

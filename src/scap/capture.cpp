@@ -261,8 +261,8 @@ void Capture::start() {
   }
   // Built outside kernel_mutex_, which must never be taken before a shard
   // lock (a callback holding its shard's lock may call stats()). Without
-  // workers this thread owns NIC and shard alike: the shard kernel
-  // programs FDIR directly and records on the capture tracer.
+  // workers this thread owns NIC and shard alike: the shard kernel owns
+  // the NIC, applies its own FDIR outbox and records on the capture tracer.
   shards_ = worker_threads_ > 0
                 ? std::make_unique<kernel::KernelShards>(config_,
                                                          worker_threads_, opts)
@@ -356,8 +356,9 @@ void Capture::advance_ticks(Timestamp now) {
     last_tick_ = last_tick_ + config_.expiry_interval;
     shards_->tick_all(last_tick_);
   }
-  // Same cadence for the FDIR crossing: drain worker-enqueued commands
-  // into the NIC and expire hardware filters.
+  // Same cadence for the FDIR crossing: apply the worker shards' outboxes
+  // to the NIC and expire hardware filters (a no-op with zero workers,
+  // whose shard kernel owns the NIC).
   base::MutexLock lock(kernel_mutex_);
   shards_->service_fdir(*nic_, last_tick_);
 }
@@ -433,7 +434,7 @@ void Capture::stop() {
   // run the final event drain (on this thread, via the drain hook).
   shards_->stop(last_ts_);
   {
-    // Apply the termination-time FDIR removals the shards enqueued.
+    // Apply the termination-time FDIR removals the worker shards queued.
     base::MutexLock lock(kernel_mutex_);
     shards_->service_fdir(*nic_, last_ts_);
   }

@@ -11,11 +11,14 @@
 // so the per-packet path takes no shared lock, and maintenance ticks ride
 // with the traffic, so the counts are the same at every N and for every
 // inject batching. With N >= 1 each shard has a worker thread fed through
-// a lock-free SPSC ring, its own trace ring and an FDIR command queue. With
-// N == 0 (the default, fully deterministic — the mode benches and tests
-// use) the injecting thread processes each run of packets itself and runs
-// the callbacks before inject() returns; the one shard kernel programs the
-// NIC directly and records on the capture-level tracer.
+// a lock-free SPSC ring and its own trace ring. With N == 0 (the default,
+// fully deterministic — the mode benches and tests use) the injecting
+// thread processes each run of packets itself and runs the callbacks
+// before inject() returns, and the one shard kernel records on the
+// capture-level tracer. Either way every shard kernel queues its FDIR
+// filter commands in its own outbox: with zero workers the shard kernel
+// owns the NIC and applies them itself, with workers the producer applies
+// them at the tick cadence (KernelShards::service_fdir).
 //
 // Concurrency model (DESIGN.md §12): producer_mutex_ is the outer
 // capability backing the shards' single-producer domain — it serializes
@@ -25,9 +28,10 @@
 // its critical sections are bounded (RSS classification, FDIR servicing,
 // stats snapshot) and never run a callback, so a callback may call stats()
 // without deadlocking against its producer. With zero workers the shard
-// kernel also writes the NIC's filter table and the capture tracer from the
-// injecting thread, outside kernel_mutex_, so a traced zero-worker
-// capture's stats() belongs to that thread and its callbacks. The clang
+// kernel, as the NIC's owner, also applies its FDIR outbox to the NIC's
+// filter table and records on the capture tracer from the injecting
+// thread, outside kernel_mutex_, so a traced zero-worker capture's stats()
+// belongs to that thread and its callbacks. The clang
 // thread-safety analysis checks all of this on every clang build
 // (-Wthread-safety, errors under SCAP_WERROR).
 //
@@ -318,8 +322,8 @@ class Capture {
   /// passed the NIC: push in-band maintenance markers for every
   /// expiry_interval boundary crossed up to `now` (before the packets that
   /// carry those timestamps — the ordering that makes shard expiry equal a
-  /// single-core replay), and service the FDIR command queue + hardware
-  /// filter expiry at the same cadence.
+  /// single-core replay), and apply the threaded shards' FDIR outboxes and
+  /// expire the NIC's filters at the same cadence (KernelShards::service_fdir).
   void advance_ticks(Timestamp now)
       SCAP_REQUIRES(producer_mutex_, shards_->producer());
 

@@ -34,8 +34,11 @@ enum class TraceEventType : std::uint8_t {
   kStreamTerminated,  // a16 = StreamStatus, a64 = stream bytes
   kPplWatermark,      // a16 = 1 rising / 0 falling, a32 = occupancy permille
   kPplCutoffChange,   // a16 = overload flag, a64 = effective cutoff bytes
-  kFdirInstall,       // a16 = 0 install / 1 reinstall / 2 rejected
-  kFdirEvict,         // a16 = 0 removed / 1 timer expiry
+  kFdirInstall,       // a16 = 0 install / 1 reinstall queued by the
+                      // kernel, 2 rejected: a full outbox (kernel) or
+                      // one filter the NIC refused (NIC tracer, stream 0)
+  kFdirEvict,         // a16 = 0 removal queued at stream close / 1 timer
+                      // expiry of one filter (NIC tracer, stream 0)
   kNicSteer,          // a16 = queue, a32 = wire bytes
   kNicDrop,           // a32 = wire bytes (dropped at the NIC, subzero path)
   kMaintenanceTick,   // a32 = active streams, a64 = chunk bytes in use

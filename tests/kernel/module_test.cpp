@@ -282,7 +282,7 @@ TEST(ScapKernelTest, FdirTimeoutReinstallDoublesTimeout) {
   EXPECT_EQ(nic.fdir().size(), 0u);
   StreamRecord* rec = k.table().find(s.tuple());
   ASSERT_NE(rec, nullptr);
-  EXPECT_FALSE(rec->fdir_installed);
+  EXPECT_EQ(rec->fdir_expires.ns(), Timestamp::from_sec(2).ns());
 
   // The stream is still alive: its next packet re-installs with 2x timeout.
   k.handle_packet(s.data("still flowing", Timestamp::from_sec(4)),
@@ -290,6 +290,115 @@ TEST(ScapKernelTest, FdirTimeoutReinstallDoublesTimeout) {
   EXPECT_EQ(k.stats().fdir_reinstalls, 1u);
   EXPECT_EQ(nic.fdir().size(), 2u);
   EXPECT_EQ(rec->fdir_timeout.ns(), Duration::from_sec(4).ns());
+}
+
+// Idle expiry closes a stream through the same path as termination: its
+// cutoff filters leave the NIC at the next maintenance tick, long before
+// their own timeout.
+TEST(ScapKernelTest, FdirIdleExpiryRemovesCutoffFilters) {
+  nic::Nic nic(1);
+  KernelConfig cfg = small_config();
+  cfg.defaults.cutoff_bytes = 4;
+  cfg.use_fdir = true;
+  cfg.fdir_base_timeout = Duration::from_sec(100);
+  ScapKernel k(cfg, &nic);
+  testing::KernelInvariantGuard guard(k);
+  SessionBuilder s;
+  Timestamp t(0);
+  k.handle_packet(s.syn(t), t);
+  k.handle_packet(s.data("0123456789", t), t);
+  ASSERT_EQ(nic.fdir().size(), 2u);
+
+  k.run_maintenance(Timestamp::from_sec(20));  // past the 10 s idle timeout
+  EXPECT_EQ(k.table().find(s.tuple()), nullptr);
+  EXPECT_EQ(nic.fdir().size(), 0u);
+  EXPECT_EQ(k.stats().fdir_removals, 2u);
+  EXPECT_EQ(k.stats().check_conservation(), "");
+  drain(k);
+}
+
+// A filter the NIC rejects stays in software: the cutoff still discards,
+// each rejected filter is one install failure, and the stream retries only
+// once the lifetime it asked for has passed.
+TEST(ScapKernelTest, RejectedFdirInstallRetriedAfterLifetime) {
+  nic::Nic nic(1, symmetric_rss_key(), /*fdir_capacity=*/0);
+  KernelConfig cfg = small_config();
+  cfg.defaults.cutoff_bytes = 4;
+  cfg.use_fdir = true;
+  cfg.fdir_base_timeout = Duration::from_sec(2);
+  cfg.expiry_interval = Duration::from_sec(100);
+  cfg.defaults.inactivity_timeout = Duration::from_sec(1000);
+  ScapKernel k(cfg, &nic);
+  testing::KernelInvariantGuard guard(k);
+  SessionBuilder s;
+  Timestamp t(0);
+  k.handle_packet(s.syn(t), t);
+  k.handle_packet(s.data("0123456789", t), t);
+  EXPECT_EQ(k.stats().fdir_installs, 0u);
+  EXPECT_EQ(k.stats().fdir_install_failures, 2u);
+
+  // Inside the lifetime: discarded in software, no retry.
+  const Timestamp t1 = Timestamp::from_sec(1);
+  auto out = k.handle_packet(s.data("more", t1), t1);
+  EXPECT_EQ(out.verdict, Verdict::kCutoffDiscard);
+  EXPECT_EQ(k.stats().fdir_install_failures, 2u);
+
+  // Past it: one retry as a re-install, rejected again.
+  const Timestamp t2 = Timestamp::from_sec(2);
+  out = k.handle_packet(s.data("more", t2), t2);
+  EXPECT_EQ(out.verdict, Verdict::kCutoffDiscard);
+  EXPECT_EQ(k.stats().fdir_reinstalls, 0u);
+  EXPECT_EQ(k.stats().fdir_install_failures, 4u);
+  EXPECT_EQ(nic.fdir().add_failures(), 4u);
+  EXPECT_EQ(k.table().find(s.tuple())->fdir_timeout.ns(),
+            Duration::from_sec(4).ns());
+  drain(k);
+}
+
+// A kernel that does not own a NIC can only queue: once its outbox is full
+// an install is dropped, both of its filters count as install failures, and
+// the stream retries after the lifetime it asked for, like a rejection.
+TEST(ScapKernelTest, FullFdirOutboxDropsInstallAndRetries) {
+  KernelConfig cfg = small_config();
+  cfg.memory_size = 8 << 20;
+  cfg.defaults.cutoff_bytes = 4;
+  cfg.use_fdir = true;
+  cfg.fdir_base_timeout = Duration::from_sec(2);
+  cfg.expiry_interval = Duration::from_sec(100);
+  cfg.defaults.inactivity_timeout = Duration::from_sec(1000);
+  ScapKernel k(cfg);
+  testing::KernelInvariantGuard guard(k);
+  ASSERT_NE(k.fdir_outbox(), nullptr);
+  const Timestamp t(0);
+  const std::size_t capacity = k.fdir_outbox()->capacity();
+  std::vector<SessionBuilder> sessions;
+  for (std::size_t i = 0; i <= capacity; ++i) {
+    sessions.emplace_back(
+        client_tuple(static_cast<std::uint16_t>(10000 + i)));
+  }
+  for (auto& s : sessions) {
+    k.handle_packet(s.syn(t), t);
+    k.handle_packet(s.data("0123456789", t), t);
+    drain(k);
+  }
+  EXPECT_EQ(k.stats().fdir_install_failures, 2u);
+  const StreamRecord* last = k.table().find(sessions.back().tuple());
+  ASSERT_NE(last, nullptr);
+  EXPECT_FALSE(last->fdir_installed);
+
+  nic::Nic nic(1);
+  FdirApplied applied = apply_fdir_commands(*k.fdir_outbox(), nic, t);
+  EXPECT_EQ(applied.installs, capacity);
+  EXPECT_EQ(applied.install_failures, 0u);
+  EXPECT_EQ(nic.fdir().size(), 2 * capacity);
+
+  const Timestamp t1 = Timestamp::from_sec(2);
+  k.handle_packet(sessions.back().data("more", t1), t1);
+  applied = apply_fdir_commands(*k.fdir_outbox(), nic, t1);
+  EXPECT_EQ(applied.installs, 0u);
+  EXPECT_EQ(applied.reinstalls, 1u);
+  EXPECT_EQ(nic.fdir().size(), 2 * capacity + 2);
+  drain(k);
 }
 
 TEST(ScapKernelTest, FinSeqEstimatesOffloadedFlowSize) {

@@ -1,13 +1,16 @@
 // Overload- and failure-robustness of the sharded datapath (DESIGN.md §13):
 // the worker-stall watchdog (fatal and degrade policies), the PPL-mirroring
-// watermark admission ladder, bounded stop(), apply-time FDIR counting in
-// queue mode, and a full ring with no worker to drain it. Everything here
-// drives KernelShards directly with explicit shard targeting and a manual
-// tick grid, so every verdict is deterministic.
+// watermark admission ladder, bounded stop(), the FDIR applier's counting
+// and §5.5 re-install with workers, and a full ring with no worker to
+// drain it. Everything here drives KernelShards directly with explicit
+// shard targeting and a manual tick grid, so every verdict is
+// deterministic.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -271,17 +274,17 @@ TEST(ShardAdmission, LadderShedsLowestPriorityFirstWithHysteresis) {
   EXPECT_EQ(fin.ring_shed_pkts, 5u);
 }
 
-// --- apply-time FDIR accounting (queue mode) ---------------------------------
+// --- FDIR: the applier's counting rule, re-install at every worker count ----
 
-// fdir_installs must count hardware acceptance, not enqueue: an install the
-// NIC rejects lands in fdir_install_failures, removals (explicit and
+// fdir_installs must count hardware acceptance, not enqueue: each filter
+// the NIC rejects lands in fdir_install_failures, removals (explicit and
 // expiry) count filters actually removed, and the removal-conservation law
 // (fdir_removals <= 2*(installs + reinstalls)) holds with exact equality in
 // the all-removed case.
 TEST(ShardFdir, AppliedCountsMatchHardwareOutcomes) {
   KernelConfig cfg;
   cfg.memory_size = 8 << 20;
-  cfg.use_fdir = true;  // creates the FDIR command queue
+  cfg.use_fdir = true;  // gives each shard kernel its FDIR outbox
 
   const Timestamp t0 = Timestamp(1'000'000'000);
   const FiveTuple a{0xc0a80001, 0x0a000001, 1111, 80, kProtoTcp};
@@ -290,18 +293,18 @@ TEST(ShardFdir, AppliedCountsMatchHardwareOutcomes) {
   {
     KernelShards shards(cfg, 1);
     base::SerialGuard prod(shards.producer());
-    ASSERT_NE(shards.fdir_queue(), nullptr);
+    ASSERT_NE(shards.kernel(0).fdir_outbox(), nullptr);
 
     FdirCommand install;
     install.kind = FdirCommand::Kind::kInstallCutoff;
     install.tuple = a;
     install.expires = t0 + Duration::from_sec(10);
-    ASSERT_TRUE(shards.fdir_queue()->try_push(install));
+    ASSERT_TRUE(shards.kernel(0).fdir_outbox()->try_push(install));
 
     FdirCommand reinstall = install;
     reinstall.tuple = b;
     reinstall.reinstall = true;
-    ASSERT_TRUE(shards.fdir_queue()->try_push(reinstall));
+    ASSERT_TRUE(shards.kernel(0).fdir_outbox()->try_push(reinstall));
 
     nic::Nic nic(1);
     shards.service_fdir(nic, t0);
@@ -316,7 +319,7 @@ TEST(ShardFdir, AppliedCountsMatchHardwareOutcomes) {
     remove.kind = FdirCommand::Kind::kRemove;
     remove.tuple = a;
     remove.also_reversed = true;
-    ASSERT_TRUE(shards.fdir_queue()->try_push(remove));
+    ASSERT_TRUE(shards.kernel(0).fdir_outbox()->try_push(remove));
     shards.service_fdir(nic, t0 + Duration::from_sec(1));
     EXPECT_EQ(shards.stats().fdir_removals, 2u);
 
@@ -331,7 +334,7 @@ TEST(ShardFdir, AppliedCountsMatchHardwareOutcomes) {
   }
 
   // Rejection path: a zero-capacity FDIR table refuses both filters, so
-  // the command counts one failure and no install.
+  // the command counts no install and one failure per rejected filter.
   {
     KernelShards shards(cfg, 1);
     base::SerialGuard prod(shards.producer());
@@ -339,16 +342,91 @@ TEST(ShardFdir, AppliedCountsMatchHardwareOutcomes) {
     install.kind = FdirCommand::Kind::kInstallCutoff;
     install.tuple = a;
     install.expires = t0 + Duration::from_sec(10);
-    ASSERT_TRUE(shards.fdir_queue()->try_push(install));
+    ASSERT_TRUE(shards.kernel(0).fdir_outbox()->try_push(install));
 
     nic::Nic rejecting(1, symmetric_rss_key(), /*fdir_capacity=*/0);
     shards.service_fdir(rejecting, t0);
     const KernelStats s = shards.stats();
     EXPECT_EQ(s.fdir_installs, 0u);
-    EXPECT_EQ(s.fdir_install_failures, 1u);
+    EXPECT_EQ(s.fdir_install_failures, 2u);
+    EXPECT_EQ(rejecting.fdir().add_failures(), 2u);
     EXPECT_EQ(s.check_conservation(), "");
     shards.stop(t0 + Duration::from_sec(1));
   }
+}
+
+// §5.5 re-install with and without workers. The kernel decides it from the
+// filter expiry it asked for, so a shard kernel that never touches the NIC
+// re-installs like the inline one. Driven the way Capture::advance_ticks
+// drives the shards: tick_all, then service_fdir, with flush() between.
+TEST(ShardFdir, ReinstallAfterExpiryAtEveryWorkerCount) {
+  KernelConfig cfg;
+  cfg.memory_size = 8 << 20;
+  cfg.use_fdir = true;
+  cfg.defaults.cutoff_bytes = 4;
+  cfg.defaults.inactivity_timeout = Duration::from_sec(1000);
+  const Timestamp t0 = Timestamp(1'000'000'000);
+  const Timestamp t1 = t0 + Duration::from_sec(11);  // past the 10 s filters
+  const FiveTuple tuple{0xc0a80001, 0x0a000001, 3333, 80, kProtoTcp};
+  const std::vector<std::uint8_t> payload(16, 'x');
+  auto segment = [&](const FiveTuple& t, int flags, std::uint32_t seq,
+                     std::size_t len, Timestamp ts) {
+    TcpSegmentSpec spec;
+    spec.tuple = t;
+    spec.seq = seq;
+    spec.flags = static_cast<std::uint8_t>(flags);
+    spec.payload = std::span<const std::uint8_t>(payload).first(len);
+    return make_tcp_packet(spec, ts);
+  };
+
+  auto run = [&](int workers) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    nic::Nic nic(1);
+    auto shards = workers == 0
+                      ? std::make_unique<KernelShards>(cfg, nic, nullptr)
+                      : std::make_unique<KernelShards>(cfg, workers);
+    base::SerialGuard prod(shards->producer());
+    shards->start({});
+    auto tick = [&](Timestamp now) {
+      shards->tick_all(now);
+      shards->flush();
+      shards->service_fdir(nic, now);
+    };
+    auto inject = [&](const Packet& pkt) {
+      EXPECT_EQ(nic.receive(pkt).disposition, nic::RxDisposition::kToQueue);
+      shards->submit(pkt);
+      shards->flush();
+      shards->service_fdir(nic, pkt.timestamp());
+    };
+    tick(t0);
+    inject(segment(tuple, kTcpSyn, 1000, 0, t0));
+    inject(segment(tuple.reversed(), kTcpSyn | kTcpAck, 5000, 0, t0));
+    inject(segment(tuple, kTcpAck, 1001, 0, t0));
+    inject(segment(tuple, kTcpAck | kTcpPsh, 1001, 16, t0));  // past 4 B
+    EXPECT_EQ(nic.fdir().size(), 2u);
+
+    tick(t1);  // the filters time out; the stream lives on
+    EXPECT_EQ(nic.fdir().size(), 0u);
+    inject(segment(tuple, kTcpAck | kTcpPsh, 1017, 16, t1));
+    const KernelStats st = shards->stats();
+    EXPECT_EQ(st.fdir_installs, 1u);
+    EXPECT_EQ(st.fdir_reinstalls, 1u);
+    EXPECT_EQ(nic.fdir().size(), 2u);
+
+    shards->stop(t1);
+    shards->service_fdir(nic, t1);
+    EXPECT_EQ(nic.fdir().size(), 0u);
+    EXPECT_EQ(shards->check_invariants(), "");
+    return shards->stats();
+  };
+  const KernelStats inline_stats = run(0);
+  const KernelStats worker_stats = run(1);
+  EXPECT_EQ(inline_stats.fdir_installs, worker_stats.fdir_installs);
+  EXPECT_EQ(inline_stats.fdir_reinstalls, worker_stats.fdir_reinstalls);
+  EXPECT_EQ(inline_stats.fdir_removals, worker_stats.fdir_removals);
+  EXPECT_EQ(inline_stats.fdir_install_failures,
+            worker_stats.fdir_install_failures);
+  EXPECT_EQ(worker_stats.fdir_removals, 4u);
 }
 
 // --- full ring without a worker ---------------------------------------------

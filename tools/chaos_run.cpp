@@ -23,15 +23,17 @@
 // kRingPush forces admission sheds on a deterministic schedule, and
 // kWorkerStall parks one shard's worker (shard seed % workers) so the
 // watchdog must detect it and the degrade policy must shed its traffic
-// while the other shards keep capturing. Keyed decisions are pure functions
-// of (seed, point, shard, ordinal), so an --mc-faults run with FDIR off is
-// bit-reproducible — with --check-reproducible, FDIR is disabled
-// automatically in sharded mode (a worker's install command reaches the
-// NIC when the producer next services the queue, so hardware drops race
-// the packet stream exactly as on real hardware). --ring-high-wm /
-// --ring-low-wm additionally enable watermark ring admission; occupancy is
-// scheduling-dependent, so those runs gate on invariants, not on
-// bit-reproducibility.
+// while the other shards keep capturing. It also arms kFdirAdd: with
+// workers, filters are added only on the producer, in service_fdir, so
+// that point's rng stream has one caller. Keyed decisions are pure
+// functions of (seed, point, shard, ordinal), so an --mc-faults run with
+// FDIR off is bit-reproducible — with --check-reproducible, FDIR is
+// disabled automatically in sharded mode (a worker's install command
+// reaches the NIC when the producer next drains the shard's outbox, so
+// hardware drops race the packet stream exactly as on real hardware).
+// --ring-high-wm / --ring-low-wm additionally enable watermark ring
+// admission; occupancy is scheduling-dependent, so those runs gate on
+// invariants, not on bit-reproducibility.
 //
 // Usage: chaos_run [--seed S] [--packets N] [--workers N] [--mc-faults]
 //                  [--ring-high-wm PCT] [--ring-low-wm PCT]
@@ -123,9 +125,9 @@ std::string run_once(const Options& opt, bool& ok) {
               scap::kernel::ReassemblyMode::kTcpStrict,
               /*need_pkts=*/false);
   cap.set_worker_threads(opt.workers);
-  // Sharded FDIR commands drain through the MPSC queue on the producer's
-  // schedule, so the hardware-dropped set races the packet stream; the
-  // reproducibility gate needs it off in sharded mode.
+  // Sharded FDIR commands reach the NIC when the producer drains the
+  // shard outboxes, so the hardware-dropped set races the packet stream;
+  // the reproducibility gate needs it off in sharded mode.
   cap.set_use_fdir(!(opt.workers > 0 && opt.check_reproducible));
   if (opt.workers > 0) {
     if (opt.ring_high_wm > 0) {
@@ -170,8 +172,10 @@ std::string run_once(const Options& opt, bool& ok) {
     plan.at(FaultPoint::kSegmentStoreInsert).probability = 0.02;
     plan.at(FaultPoint::kFdirAdd).probability = 0.05;
   } else if (opt.mc_faults) {
-    // Keyed points only: their verdicts hash (seed, point, shard, ordinal),
-    // so they are safe — and deterministic — under worker concurrency.
+    // Keyed points: their verdicts hash (seed, point, shard, ordinal), so
+    // they are safe — and deterministic — under worker concurrency.
+    // kFdirAdd is rolled only by the producer's FDIR applier.
+    plan.at(FaultPoint::kFdirAdd).probability = 0.05;
     plan.at(FaultPoint::kRingPush).probability = 0.01;
     plan.at(FaultPoint::kWorkerStall).every_n = 1;
     plan.at(FaultPoint::kWorkerStall).only_key =
@@ -195,8 +199,9 @@ std::string run_once(const Options& opt, bool& ok) {
   cap.enable_tracing(1 << 14);
   {
     // Inline mode arms the allocator points; sharded mode installs the
-    // scope only for the keyed ring/stall points (--mc-faults), whose
-    // decisions are interleaving-independent (see header comment). The
+    // scope only for the keyed ring/stall points and the producer-only
+    // kFdirAdd (--mc-faults), whose decisions are interleaving-independent
+    // or single-threaded (see header comment). The
     // scope must be installed before start(): sharded workers consult
     // kWorkerStall at thread entry, and racing the installation would make
     // the victim set nondeterministic.
