@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "kernel/reassembly.hpp"
@@ -43,25 +42,31 @@ struct Event {
   std::uint64_t app_mask = ~0ULL;
 };
 
-/// Per-core event queue. Unbounded by design: the real backpressure is the
-/// shared chunk buffer — when workers fall behind, chunk memory stays
-/// allocated and PPL starts dropping packets, which is the paper's overload
-/// behaviour.
+/// Per-core event queue: a power-of-two ring of Events that doubles when
+/// full and keeps its capacity, so once it has grown to the consumers'
+/// backlog, pushes allocate nothing. Popping moves the event out and
+/// leaves a slot that owns no chunk buffer.
+///
+/// Unbounded by design: the real backpressure is the shared chunk buffer —
+/// when workers fall behind, chunk memory stays allocated and PPL starts
+/// dropping packets, which is the paper's overload behaviour.
 class EventQueue {
  public:
   void push(Event ev) {
-    // scap-lint: allow(hot-alloc) deque growth is amortized and reaches steady state once consumers keep up; ROADMAP item 2 worklist (DESIGN.md §14 inventory)
-    queue_.push_back(std::move(ev));
-    if (queue_.size() > high_water_) high_water_ = queue_.size();
+    if (size_ == slots_.size()) grow();
+    slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(ev);
+    ++size_;
+    if (size_ > high_water_) high_water_ = size_;
     ++pushed_;
   }
 
-  bool empty() const { return queue_.empty(); }
-  std::size_t size() const { return queue_.size(); }
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
 
   Event pop() {
-    Event ev = std::move(queue_.front());
-    queue_.pop_front();
+    Event ev = std::move(slots_[head_]);
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --size_;
     return ev;
   }
 
@@ -69,7 +74,23 @@ class EventQueue {
   std::size_t high_water() const { return high_water_; }
 
  private:
-  std::deque<Event> queue_;
+  static constexpr std::size_t kInitialSlots = 16;
+
+  /// Double the ring, unrolling it so the oldest event lands in slot 0.
+  void grow() {
+    std::vector<Event> bigger;
+    // scap-lint: allow(hot-alloc) ring growth only: it doubles when full and keeps its capacity, so it stops once it fits the consumers' backlog (DESIGN.md §14 inventory)
+    bigger.resize(slots_.empty() ? kInitialSlots : 2 * slots_.size());
+    for (std::size_t i = 0; i < size_; ++i) {
+      bigger[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    }
+    slots_ = std::move(bigger);
+    head_ = 0;
+  }
+
+  std::vector<Event> slots_;  // size is zero or a power of two
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
   std::uint64_t pushed_ = 0;
   std::size_t high_water_ = 0;
 };

@@ -645,7 +645,8 @@ StreamRecord* ScapKernel::lookup_or_create(const Packet& pkt, Timestamp now,
   } else {
     // scap-lint: allow(hot-alloc) one reassembler per record slot, first use only — recycled records reset in place (ROADMAP item 2: move into the record pool slab)
     rec->reasm = std::make_unique<TcpReassembler>(
-        rec->params, config_.need_pkts);
+        rec->params, config_.need_pkts, TcpReassembler::kDefaultMaxOooBytes,
+        &allocator_);
   }
   // scap-lint: allow(hot-alloc) flush-watch set grows only for streams configured with flush timeouts (DESIGN.md §14 inventory)
   if (rec->params.flush_timeout > Duration(0)) flush_watch_.insert(rec->id);

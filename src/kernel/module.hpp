@@ -282,11 +282,13 @@ class ScapKernel {
     return queues_[static_cast<std::size_t>(core)];
   }
 
-  /// The consumer must release each data event's chunk accounting once the
-  /// application is done with it.
-  void release_chunk(const Event& ev) SCAP_REQUIRES(serial_) {
-    allocator_.release(ev.chunk_alloc);
-  }
+  /// The consumer hands each data event's chunk back once the application
+  /// is done with it (paper §5.3): its budget and its buffers return to the
+  /// allocator and the event's chunk is left empty, so releasing the same
+  /// event again changes nothing. The rvalue overload serves
+  /// `release_chunk(q.pop())`.
+  void release_chunk(Event& ev) SCAP_REQUIRES(serial_) { recycle_chunk(ev); }
+  void release_chunk(Event&& ev) SCAP_REQUIRES(serial_) { recycle_chunk(ev); }
 
   // --- runtime control (backing for the Scap API) -------------------------
   StreamRecord* find_stream(StreamId id) SCAP_REQUIRES(serial_) {
@@ -364,6 +366,13 @@ class ScapKernel {
 
   /// This kernel owns its NIC and applies its own FDIR commands.
   bool owns_fdir() const { return nic_ != nullptr && fdir_outbox_ != nullptr; }
+
+  void recycle_chunk(Event& ev) SCAP_REQUIRES(serial_) {
+    allocator_.release(ev.chunk_alloc);
+    ev.chunk_alloc = 0;
+    allocator_.recycle(ev.chunk.data);
+    allocator_.recycle(ev.chunk.packets);
+  }
 
   /// handle_packet minus the maintenance-timer check (the batch path runs
   /// that once per batch).

@@ -8,26 +8,47 @@ namespace scap::kernel {
 // --- ChunkBuilder -----------------------------------------------------------
 
 ChunkBuilder::ChunkBuilder(std::uint32_t chunk_size, std::uint32_t overlap_size,
-                           bool record_packets)
+                           bool record_packets, ChunkAllocator* buffers)
     : chunk_size_(chunk_size ? chunk_size : 1),
       overlap_size_(overlap_size),
-      record_packets_(record_packets) {}
+      record_packets_(record_packets),
+      buffers_(buffers) {}
 
 void ChunkBuilder::reset(std::uint32_t chunk_size, std::uint32_t overlap_size,
                          bool record_packets) {
   chunk_size_ = chunk_size ? chunk_size : 1;
   overlap_size_ = overlap_size;
   record_packets_ = record_packets;
-  // clear() keeps the vectors' capacity — the point of recycling.
-  current_.data.clear();
-  current_.packets.clear();
-  current_.stream_offset = 0;
-  current_.overlap_len = 0;
-  current_.errors = 0;
-  current_.first_ts = Timestamp();
+  drop(current_);
   current_started_ = false;
   pending_errors_ = 0;
+  if (retained_) drop(*retained_);
   retained_.reset();
+  completed_.clear();
+}
+
+void ChunkBuilder::drop(Chunk& chunk) {
+  if (buffers_ != nullptr) {
+    buffers_->recycle(chunk.data);
+    buffers_->recycle(chunk.packets);
+  }
+  chunk = Chunk{};
+}
+
+void ChunkBuilder::put(std::vector<std::uint8_t>& dst,
+                       std::span<const std::uint8_t> src) {
+  const std::size_t need = dst.size() + src.size();
+  if (buffers_ != nullptr && need > dst.capacity()) {
+    // Climb to the class that fits: take its buffer, move the bytes over
+    // and hand the outgrown one back — vector doubling without malloc.
+    std::vector<std::uint8_t> bigger = buffers_->take_bytes(need);
+    // scap-lint: allow(hot-alloc) copy into a buffer taken with room for it: never reallocates
+    bigger.insert(bigger.end(), dst.begin(), dst.end());
+    buffers_->recycle(dst);
+    dst = std::move(bigger);
+  }
+  // scap-lint: allow(hot-alloc) THE chunk-payload copy: with an allocator the buffer was sized above and never reallocates; standalone builders grow it like any vector
+  dst.insert(dst.end(), src.begin(), src.end());
 }
 
 Chunk ChunkBuilder::take_current() {
@@ -36,23 +57,21 @@ Chunk ChunkBuilder::take_current() {
   pending_errors_ = 0;
   current_ = Chunk{};
   current_started_ = false;
-  if (retained_) {
-    // A kept chunk is delivered together with the one that just completed.
-    Chunk merged = std::move(*retained_);
-    retained_.reset();
-    merged.errors |= out.errors;
-    // scap-lint: allow(hot-alloc) kept-chunk merge (scap_keep_stream_chunk) copies into the retained buffer; ROADMAP item 2 worklist (DESIGN.md §14 inventory)
-    merged.data.insert(merged.data.end(), out.data.begin(), out.data.end());
-    const std::uint32_t shift =
-        static_cast<std::uint32_t>(merged.data.size() - out.data.size());
-    for (auto& rec : out.packets) {
-      rec.chunk_offset += shift;
-      // scap-lint: allow(hot-alloc) per-packet records of a kept chunk, only when need_pkts is on (DESIGN.md §14 inventory)
-      merged.packets.push_back(rec);
-    }
-    return merged;
+  if (!retained_) return out;
+  // A kept chunk is delivered together with the one that just completed,
+  // in a buffer of the class that fits both.
+  Chunk merged = std::move(*retained_);
+  retained_.reset();
+  merged.errors |= out.errors;
+  const auto shift = static_cast<std::uint32_t>(merged.data.size());
+  put(merged.data, out.data);
+  for (auto& rec : out.packets) {
+    rec.chunk_offset += shift;
+    // scap-lint: allow(hot-alloc) per-packet records of a kept chunk, only when need_pkts is on (DESIGN.md §14 inventory)
+    merged.packets.push_back(rec);
   }
-  return out;
+  drop(out);
+  return merged;
 }
 
 void ChunkBuilder::start_next(const Chunk& completed) {
@@ -61,18 +80,28 @@ void ChunkBuilder::start_next(const Chunk& completed) {
   const std::uint32_t tail =
       std::min<std::uint32_t>(overlap_size_,
                               static_cast<std::uint32_t>(completed.data.size()));
-  // scap-lint: allow(hot-alloc) overlap carry into the next chunk's buffer, whose capacity is retained across chunks (DESIGN.md §14 inventory)
-  current_.data.assign(completed.data.end() - tail, completed.data.end());
+  put(current_.data, std::span<const std::uint8_t>(completed.data).last(tail));
   current_.overlap_len = tail;
   current_.stream_offset =
       completed.stream_offset + completed.data.size() - tail;
   current_started_ = true;
 }
 
-std::vector<Chunk> ChunkBuilder::append(std::span<const std::uint8_t> data,
-                                        const SegmentMeta& meta,
-                                        std::uint64_t stream_off) {
-  std::vector<Chunk> completed;
+void ChunkBuilder::complete(Chunk&& done) {
+  // scap-lint: allow(hot-alloc) completed-chunk hand-off vector: keeps its capacity across calls, so it grows only until it fits the most chunks one call completes
+  completed_.push_back(std::move(done));
+}
+
+std::span<Chunk> ChunkBuilder::append(std::span<const std::uint8_t> data,
+                                      const SegmentMeta& meta,
+                                      std::uint64_t stream_off) {
+  completed_.clear();
+  fill(data, meta, stream_off);
+  return completed_;
+}
+
+void ChunkBuilder::fill(std::span<const std::uint8_t> data,
+                        const SegmentMeta& meta, std::uint64_t stream_off) {
   std::size_t consumed = 0;
   while (consumed < data.size()) {
     if (!current_started_) {
@@ -98,22 +127,21 @@ std::vector<Chunk> ChunkBuilder::append(std::span<const std::uint8_t> data,
         rec.wirelen = meta.wire_payload;
         rec.seq = meta.seq_raw + static_cast<std::uint32_t>(consumed);
         rec.tcp_flags = meta.tcp_flags;
-        // scap-lint: allow(hot-alloc) per-packet record append (need_pkts); capacity retained across chunks, ROADMAP item 2 worklist (DESIGN.md §14 inventory)
+        if (buffers_ != nullptr && current_.packets.capacity() == 0) {
+          current_.packets = buffers_->take_records();
+        }
+        // scap-lint: allow(hot-alloc) per-packet record append (need_pkts): record vectors are recycled with their capacity, so this grows only until they fit the most packets a chunk holds (DESIGN.md §14 inventory)
         current_.packets.push_back(rec);
       }
-      // scap-lint: allow(hot-alloc) THE chunk-payload copy (0.56-0.64 allocs/pkt on reassembly/pipeline): vector growth until chunk_size capacity is reached, then reused; ROADMAP item 2 worklist (DESIGN.md §14 inventory)
-      current_.data.insert(current_.data.end(), data.begin() + consumed,
-                           data.begin() + consumed + take);
+      put(current_.data, data.subspan(consumed, take));
       consumed += take;
     }
     if (current_.data.size() >= chunk_size_) {
       Chunk done = take_current();
       start_next(done);
-      // scap-lint: allow(hot-alloc) completed-chunk handoff vector, one element per chunk_size bytes of payload (DESIGN.md §14 inventory)
-      completed.push_back(std::move(done));
+      complete(std::move(done));
     }
   }
-  return completed;
 }
 
 std::optional<Chunk> ChunkBuilder::flush() {
@@ -124,13 +152,12 @@ std::optional<Chunk> ChunkBuilder::flush() {
   }
   // A pure-overlap chunk (only the repeated tail) carries no new bytes.
   if (current_.data.size() == current_.overlap_len && !retained_) {
-    current_ = Chunk{};
+    drop(current_);
     current_started_ = false;
     return std::nullopt;
   }
-  Chunk done = take_current();
   // No overlap seeding after an explicit flush: the next data starts clean.
-  return done;
+  return take_current();
 }
 
 void ChunkBuilder::retain(Chunk&& kept) { retained_ = std::move(kept); }
@@ -138,11 +165,13 @@ void ChunkBuilder::retain(Chunk&& kept) { retained_ = std::move(kept); }
 // --- TcpReassembler ---------------------------------------------------------
 
 TcpReassembler::TcpReassembler(const StreamParams& params, bool record_packets,
-                               std::uint64_t max_ooo_bytes)
+                               std::uint64_t max_ooo_bytes,
+                               ChunkAllocator* buffers)
     : mode_(params.mode),
       policy_(params.policy),
       max_ooo_bytes_(max_ooo_bytes),
-      builder_(params.chunk_size, params.overlap_size, record_packets) {}
+      builder_(params.chunk_size, params.overlap_size, record_packets,
+               buffers) {}
 
 void TcpReassembler::reset(const StreamParams& params, bool record_packets,
                            std::uint64_t max_ooo_bytes) {
@@ -173,20 +202,18 @@ std::optional<std::uint64_t> TcpReassembler::offset_of(std::uint32_t seq) const 
 
 void TcpReassembler::deliver(std::span<const std::uint8_t> data,
                              const SegmentMeta& meta, Result& result) {
-  auto done = builder_.append(data, meta, next_off_);
+  builder_.fill(data, meta, next_off_);
   result.accepted_bytes += data.size();
   next_off_ += data.size();
-  // scap-lint: allow(hot-alloc) completed-chunk handoff, one element per finished chunk (DESIGN.md §14 inventory)
-  for (auto& c : done) result.completed.push_back(std::move(c));
+  result.completed = builder_.completed_;
 }
 
 void TcpReassembler::drain_ooo(const SegmentMeta& meta, Result& result) {
   while (auto run = ooo_.pop_contiguous(next_off_)) {
-    auto done = builder_.append(*run, meta, next_off_);
+    builder_.fill(*run, meta, next_off_);
     next_off_ += run->size();
-    // scap-lint: allow(hot-alloc) completed-chunk handoff when a hole fills (strict mode), per chunk not per packet (DESIGN.md §14 inventory)
-    for (auto& c : done) result.completed.push_back(std::move(c));
   }
+  result.completed = builder_.completed_;
 }
 
 void TcpReassembler::force_deliver_ooo(const SegmentMeta& meta,
@@ -206,17 +233,17 @@ void TcpReassembler::force_deliver_ooo(const SegmentMeta& meta,
       if (skip >= bytes.size()) continue;
       bytes = bytes.subspan(skip);
     }
-    auto done = builder_.append(bytes, meta, next_off_);
+    builder_.fill(bytes, meta, next_off_);
     next_off_ += bytes.size();
-    // scap-lint: allow(hot-alloc) completed-chunk handoff on OOO-buffer overflow degrade, per chunk not per packet (DESIGN.md §14 inventory)
-    for (auto& c : done) result.completed.push_back(std::move(c));
   }
+  result.completed = builder_.completed_;
 }
 
 TcpReassembler::Result TcpReassembler::on_data(
     std::uint32_t seq, std::span<const std::uint8_t> payload,
     const SegmentMeta& meta) {
   Result result;
+  builder_.completed_.clear();
   if (payload.empty()) return result;
 
   if (!have_base_) {
@@ -299,14 +326,15 @@ TcpReassembler::Result TcpReassembler::on_data(
 TcpReassembler::Result TcpReassembler::on_datagram(
     std::span<const std::uint8_t> payload, const SegmentMeta& meta) {
   Result result;
+  builder_.completed_.clear();
   if (payload.empty()) return result;
   if (!have_base_) have_base_ = true;
   deliver(payload, meta, result);
   return result;
 }
 
-std::vector<Chunk> TcpReassembler::flush(std::uint32_t error_bits) {
-  std::vector<Chunk> out;
+std::span<Chunk> TcpReassembler::flush(std::uint32_t error_bits) {
+  builder_.completed_.clear();
   if (mode_ == ReassemblyMode::kTcpStrict && !ooo_.empty()) {
     // Deliver whatever is buffered, flagging holes.
     SegmentMeta meta{};
@@ -321,16 +349,13 @@ std::vector<Chunk> TcpReassembler::flush(std::uint32_t error_bits) {
         if (skip >= bytes.size()) continue;
         bytes = bytes.subspan(skip);
       }
-      auto done = builder_.append(bytes, meta, next_off_);
+      builder_.fill(bytes, meta, next_off_);
       next_off_ += bytes.size();
-      // scap-lint: allow(hot-alloc) flush path: completed-chunk handoff, runs at termination/flush-timeout not per packet (DESIGN.md §14 inventory)
-      for (auto& c : done) out.push_back(std::move(c));
     }
   }
   if (error_bits) builder_.flag_error(error_bits);
-  // scap-lint: allow(hot-alloc) flush path: final partial chunk handoff (DESIGN.md §14 inventory)
-  if (auto last = builder_.flush()) out.push_back(std::move(*last));
-  return out;
+  if (auto last = builder_.flush()) builder_.complete(std::move(*last));
+  return builder_.completed_;
 }
 
 }  // namespace scap::kernel

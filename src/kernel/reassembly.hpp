@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "base/hotpath.hpp"
+#include "kernel/memory.hpp"
 #include "kernel/segment_store.hpp"
 #include "kernel/stream.hpp"
 
@@ -53,19 +54,26 @@ struct SegmentMeta {
 };
 
 /// Accumulates delivered bytes into fixed-size chunks with overlap carry.
+///
+/// With a ChunkAllocator the chunk buffers come from its size-class free
+/// lists and every buffer the builder drops goes back to them; without one
+/// (standalone reassemblers) they come from and return to the heap.
+/// Completed chunks are handed off through one hand-off vector whose
+/// capacity persists: the returned spans stay valid until the next
+/// append() or flush() on this builder (or call on its reassembler).
 class ChunkBuilder {
  public:
   ChunkBuilder(std::uint32_t chunk_size, std::uint32_t overlap_size,
-               bool record_packets);
+               bool record_packets, ChunkAllocator* buffers = nullptr);
 
-  /// Reconfigure for a fresh stream, dropping all buffered state but
-  /// keeping the current chunk's grown capacity (record-pool recycling).
+  /// Reconfigure for a fresh stream (record-pool recycling), dropping all
+  /// buffered state.
   void reset(std::uint32_t chunk_size, std::uint32_t overlap_size,
              bool record_packets);
 
-  /// Append delivered bytes; returns any chunks that filled up.
-  std::vector<Chunk> append(std::span<const std::uint8_t> data,
-                            const SegmentMeta& meta, std::uint64_t stream_off);
+  /// Append delivered bytes; returns the chunks that filled up.
+  std::span<Chunk> append(std::span<const std::uint8_t> data,
+                          const SegmentMeta& meta, std::uint64_t stream_off);
 
   /// Raise error bits on the chunk currently being built.
   void flag_error(std::uint32_t bits) { pending_errors_ |= bits; }
@@ -87,32 +95,54 @@ class ChunkBuilder {
   void set_overlap_size(std::uint32_t s) { overlap_size_ = s; }
 
  private:
+  friend class TcpReassembler;
+
+  /// append() without forgetting the chunks earlier calls completed: the
+  /// reassembler collects one segment's chunks across several fills.
+  void fill(std::span<const std::uint8_t> data, const SegmentMeta& meta,
+            std::uint64_t stream_off);
+  /// Hand a finished chunk off through the hand-off vector.
+  void complete(Chunk&& done);
   Chunk take_current();
   void start_next(const Chunk& completed);
+  /// Copy `src` to the end of `dst`, first moving `dst` to a buffer of the
+  /// class that fits the result when it has outgrown its own.
+  void put(std::vector<std::uint8_t>& dst, std::span<const std::uint8_t> src);
+  /// Hand a chunk's buffers back to where they came from.
+  void drop(Chunk& chunk);
 
   std::uint32_t chunk_size_;
   std::uint32_t overlap_size_;
   bool record_packets_;
+  ChunkAllocator* buffers_;
   Chunk current_;
   bool current_started_ = false;
   std::uint32_t pending_errors_ = 0;
   std::optional<Chunk> retained_;
+  std::vector<Chunk> completed_;
 };
 
 /// One direction of a TCP (or UDP) stream.
 class TcpReassembler {
  public:
+  static constexpr std::uint64_t kDefaultMaxOooBytes = 256 * 1024;
+
+  /// `buffers` (optional) supplies and takes back the chunk buffers; the
+  /// kernel passes its ChunkAllocator.
   TcpReassembler(const StreamParams& params, bool record_packets,
-                 std::uint64_t max_ooo_bytes = 256 * 1024);
+                 std::uint64_t max_ooo_bytes = kDefaultMaxOooBytes,
+                 ChunkAllocator* buffers = nullptr);
 
   /// Reinitialize for a fresh stream (record-pool recycling): equivalent to
   /// destroying and reconstructing, but reuses grown internal buffers so
   /// steady-state stream churn allocates nothing.
   void reset(const StreamParams& params, bool record_packets,
-             std::uint64_t max_ooo_bytes = 256 * 1024);
+             std::uint64_t max_ooo_bytes = kDefaultMaxOooBytes);
 
   struct Result {
-    std::vector<Chunk> completed;
+    /// Chunks this segment completed, in the builder's hand-off vector: valid
+    /// until the next call on this reassembler.
+    std::span<Chunk> completed;
     std::uint64_t accepted_bytes = 0;  // written to a chunk or buffered
     std::uint64_t dup_bytes = 0;       // duplicate / overlap-losing bytes
     std::uint32_t errors = 0;          // error bits raised by this segment
@@ -134,8 +164,9 @@ class TcpReassembler {
   /// Flush buffered out-of-order data (strict mode) and the partial chunk.
   /// `error_bits` is OR-ed into the final chunk (e.g. at termination).
   /// May return multiple chunks when the out-of-order buffer held more than
-  /// one chunk's worth of data.
-  std::vector<Chunk> flush(std::uint32_t error_bits = 0);
+  /// one chunk's worth of data. Valid until the next call on this
+  /// reassembler.
+  std::span<Chunk> flush(std::uint32_t error_bits = 0);
 
   /// Highest stream offset delivered or skipped so far — the stream "size"
   /// used for cutoff decisions.

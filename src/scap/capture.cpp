@@ -328,16 +328,15 @@ void Capture::dispatch_event_on(kernel::ScapKernel& k, kernel::Event& ev) {
     }
   }
   events_dispatched_.fetch_add(1, std::memory_order_relaxed);
-  if (ev.type == kernel::EventType::kData) {
-    if (view.keep_requested_) {
-      // scap_keep_stream_chunk: hand the chunk (and its accounting) back.
-      const std::uint32_t alloc = ev.chunk_alloc;
-      if (!k.keep_stream_chunk(ev.stream.id, std::move(ev.chunk), alloc)) {
-        k.release_chunk(ev);  // stream vanished: just release
-      }
-      return;
-    }
+  if (ev.type == kernel::EventType::kData && view.keep_requested_ &&
+      k.keep_stream_chunk(ev.stream.id, std::move(ev.chunk), ev.chunk_alloc)) {
+    // scap_keep_stream_chunk: the chunk and its accounting went back to the
+    // stream.
+    ev.chunk_alloc = 0;
+    return;
   }
+  // Bytes and budget go back to the kernel: the chunk is gone from here on
+  // (a kept chunk whose stream vanished is released too).
   k.release_chunk(ev);
 }
 

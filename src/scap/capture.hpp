@@ -114,6 +114,10 @@ class StreamView {
   Duration processing_time() const { return ev_.stream.processing_time; }
 
   // --- chunk data (sd->data / sd->data_len) --------------------------------
+  /// Valid only until the handler returns: the chunk's buffer then goes
+  /// back to the kernel's free lists and holds later chunks' bytes. Copy
+  /// what must outlive the handler, or keep_chunk() to get these bytes
+  /// again at the front of the next delivery.
   std::span<const std::uint8_t> data() const {
     return std::span<const std::uint8_t>(ev_.chunk.data);
   }
@@ -130,7 +134,9 @@ class StreamView {
   void keep_chunk();                    // scap_keep_stream_chunk
 
   // --- packet delivery (scap_next_stream_packet) ---------------------------
-  /// Next packet record of this chunk in capture order, or nullptr.
+  /// Next packet record of this chunk in capture order, or nullptr. Records
+  /// and payloads share data()'s lifetime: valid until the handler
+  /// returns, unless keep_chunk() is called.
   const kernel::PacketRecord* next_packet();
   /// Payload bytes of a packet record within this chunk.
   std::span<const std::uint8_t> packet_payload(

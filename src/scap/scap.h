@@ -191,7 +191,12 @@ int scap_set_stream_parameter(scap_t* sc, stream_t* sd, int parameter,
                               std::int64_t value);
 int scap_keep_stream_chunk(scap_t* sc, stream_t* sd);
 
-/// Stream data access (sd->data / sd->data_len in the paper).
+/// Stream data access (sd->data / sd->data_len in the paper). The chunk
+/// bytes (and the payloads scap_next_stream_packet returns) are valid only
+/// until the handler returns: the chunk's buffer then goes back to the
+/// capture's free lists and is reused for later chunks. Copy what must
+/// outlive the handler, or call scap_keep_stream_chunk to have the chunk
+/// delivered again, together with the next one.
 const std::uint8_t* scap_stream_data(const stream_t* sd);
 std::size_t scap_stream_data_len(const stream_t* sd);
 int scap_stream_status(const stream_t* sd);

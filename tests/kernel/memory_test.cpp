@@ -48,5 +48,28 @@ TEST(ChunkAllocator, HighWaterTracksPeak) {
   EXPECT_EQ(alloc.high_water(), 600u);
 }
 
+TEST(ChunkAllocator, BuffersRecycleThroughTheirSizeClass) {
+  ChunkAllocator alloc(1 << 20);
+  const auto small = alloc.take_bytes(100);
+  EXPECT_EQ(small.capacity(), 2048u);  // the smallest class
+  auto big = alloc.take_bytes(3000);
+  EXPECT_EQ(big.capacity(), 4096u);
+  big.assign(3000, 0xab);
+  const std::uint8_t* storage = big.data();
+  alloc.recycle(big);
+  EXPECT_EQ(big.capacity(), 0u);
+  EXPECT_EQ(alloc.free_buffers(), 1u);
+
+  // A request the 4 KiB class serves gets the same storage back, empty.
+  const auto again = alloc.take_bytes(2049);
+  EXPECT_EQ(again.data(), storage);
+  EXPECT_TRUE(again.empty());
+  EXPECT_EQ(alloc.free_buffers(), 0u);
+
+  // Recycling a buffer that holds no storage changes nothing.
+  alloc.recycle(big);
+  EXPECT_EQ(alloc.free_buffers(), 0u);
+}
+
 }  // namespace
 }  // namespace scap::kernel

@@ -22,13 +22,14 @@ KernelConfig small_config() {
 }
 
 /// Drains every event from a kernel core queue, releasing chunk memory.
+/// Release empties an event's chunk, so the copy is taken first.
 std::vector<Event> drain(ScapKernel& k, int core = 0) {
   std::vector<Event> events;
   auto& q = k.events(core);
   while (!q.empty()) {
     Event ev = q.pop();
+    events.push_back(ev);
     k.release_chunk(ev);
-    events.push_back(std::move(ev));
   }
   return events;
 }
@@ -682,6 +683,66 @@ TEST(KernelStatsMerge, EachRowCombinesByItsRule) {
   EXPECT_EQ(total.ppl_effective_cutoff, 1024);
   EXPECT_EQ(total.ppl_overload_active, 1u);
   EXPECT_EQ(total.ring_occupancy_peak, 9u);
+}
+
+/// Sends one 100-byte segment on a fresh session and returns the 64-byte
+/// chunk it completes; the events before it are released.
+Event deliver_one_chunk(ScapKernel& k) {
+  SessionBuilder s;
+  Timestamp t(0);
+  k.handle_packet(s.syn(t), t);
+  k.handle_packet(s.syn_ack(t), t);
+  k.handle_packet(s.data(std::string(100, 'x'), t), t);
+  auto& q = k.events(0);
+  while (!q.empty()) {
+    Event ev = q.pop();
+    if (ev.type == EventType::kData) return ev;
+    k.release_chunk(ev);
+  }
+  ADD_FAILURE() << "no data event";
+  return Event{};
+}
+
+// Release hands the chunk's budget and buffers back and empties the event,
+// so releasing the same event again neither subtracts the budget twice nor
+// puts a buffer on a free list twice.
+TEST(ScapKernelTest, ReleasingAnEventTwiceChangesNothing) {
+  KernelConfig cfg = small_config();
+  cfg.need_pkts = true;  // the packet-record list too
+  ScapKernel k(cfg);
+  Event ev = deliver_one_chunk(k);
+  ASSERT_EQ(ev.chunk.data.size(), 64u);
+  ASSERT_EQ(ev.chunk.packets.size(), 1u);
+  ASSERT_NE(ev.chunk_alloc, 0u);
+
+  k.release_chunk(ev);
+  EXPECT_TRUE(ev.chunk.data.empty());
+  EXPECT_TRUE(ev.chunk.packets.empty());
+  EXPECT_EQ(ev.chunk_alloc, 0u);
+  const std::uint64_t used = k.allocator().used();
+  const std::size_t free_buffers = k.allocator().free_buffers();
+  EXPECT_EQ(free_buffers, 2u);  // the byte buffer and the record vector
+
+  k.release_chunk(ev);
+  EXPECT_EQ(k.allocator().used(), used);
+  EXPECT_EQ(k.allocator().free_buffers(), free_buffers);
+}
+
+// Under AddressSanitizer a buffer on a free list is poisoned, so a read
+// through a released event's stale data pointer is reported instead of
+// silently seeing whatever the next chunk writes there.
+TEST(ScapKernelDeathTest, ReadingReleasedChunkBytesDies) {
+#if !defined(SCAP_ASAN)
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#else
+  ScapKernel k(small_config());
+  Event ev = deliver_one_chunk(k);
+  ASSERT_FALSE(ev.chunk.data.empty());
+  const volatile std::uint8_t* stale = ev.chunk.data.data();
+  EXPECT_EQ(stale[0], 'x');
+  k.release_chunk(ev);
+  EXPECT_DEATH((void)stale[0], "use-after-poison");
+#endif
 }
 
 }  // namespace

@@ -27,19 +27,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <span>
 #include <sstream>
 #include <string>
 #include <tuple>
-#include <utility>
 #include <vector>
 
-#include "base/hash.hpp"
 #include "faultinject/adversary.hpp"
 #include "kernel/stats_determinism.hpp"
 #include "scap/capture.hpp"
+#include "tests/scap/delivered_digest.hpp"
 #include "trace/export.hpp"
 
 namespace scap {
@@ -57,72 +54,6 @@ std::vector<Packet> adversary_packets(std::uint64_t seed) {
   cfg.spacing = Duration::from_usec(1000);
   return faultinject::AdversaryGen(cfg).generate();
 }
-
-/// Digest of the bytes delivered to the application, with the definition
-/// perfbench validates its workloads by: each directional stream folds its
-/// bytes as little-endian 8-byte words keyed by their position (so chunk
-/// boundaries do not matter), is finished with its 5-tuple when it
-/// terminates, and streams combine by addition (so the order in which
-/// shards close them does not matter).
-class DeliveredDigest {
- public:
-  void on_data(const StreamView& sv) {
-    const std::span<const std::uint8_t> data =
-        sv.data().subspan(sv.overlap_len());
-    std::lock_guard lock(mu_);
-    Stream& st = open_[key_of(sv.tuple())];
-    for (const std::uint8_t b : data) {
-      st.word |= static_cast<std::uint64_t>(b) << (8 * (st.bytes & 7));
-      if ((++st.bytes & 7) == 0) {
-        st.acc += word_hash(st.word, (st.bytes >> 3) - 1);
-        st.word = 0;
-      }
-    }
-  }
-
-  void on_terminated(const StreamView& sv) {
-    const Key key = key_of(sv.tuple());
-    std::lock_guard lock(mu_);
-    const auto it = open_.find(key);
-    if (it == open_.end()) return;
-    const Stream& st = it->second;
-    std::uint64_t acc = st.acc;
-    if ((st.bytes & 7) != 0) acc += word_hash(st.word, st.bytes >> 3);
-    digest_ += mix64(acc ^ mix64(key.first ^ mix64(key.second)) ^
-                     mix64(st.bytes));
-    bytes_ += st.bytes;
-    open_.erase(it);
-  }
-
-  /// (combined digest, delivered bytes); every stream must have closed.
-  std::pair<std::uint64_t, std::uint64_t> result() {
-    std::lock_guard lock(mu_);
-    EXPECT_TRUE(open_.empty()) << open_.size() << " streams never closed";
-    return {digest_, bytes_};
-  }
-
- private:
-  using Key = std::pair<std::uint64_t, std::uint64_t>;
-  struct Stream {
-    std::uint64_t bytes = 0;
-    std::uint64_t acc = 0;
-    std::uint64_t word = 0;  // pending bytes of the current word
-  };
-
-  static Key key_of(const FiveTuple& t) {
-    return {(static_cast<std::uint64_t>(t.src_ip) << 32) | t.dst_ip,
-            (static_cast<std::uint64_t>(t.src_port) << 24) |
-                (static_cast<std::uint64_t>(t.dst_port) << 8) | t.protocol};
-  }
-  static std::uint64_t word_hash(std::uint64_t word, std::uint64_t index) {
-    return mix64(word ^ (index * 0x9e3779b97f4a7c15ULL));
-  }
-
-  std::mutex mu_;  // handlers run on every shard's worker
-  std::map<Key, Stream> open_;
-  std::uint64_t digest_ = 0;
-  std::uint64_t bytes_ = 0;
-};
 
 struct Result {
   kernel::KernelStats kernel;  // normalized
@@ -146,9 +77,11 @@ Result run(const std::vector<Packet>& pkts, int workers, std::size_t batch,
   cap.set_parameter(Parameter::kInactivityTimeoutMs, 2000);
   std::atomic<std::uint64_t> timeout_closes{0};
   DeliveredDigest delivered;
-  cap.dispatch_data([&delivered](StreamView& sv) { delivered.on_data(sv); });
+  cap.dispatch_data([&delivered](StreamView& sv) {
+    delivered.on_data(sv.tuple(), sv.data().subspan(sv.overlap_len()));
+  });
   cap.dispatch_termination([&](StreamView& sv) {
-    delivered.on_terminated(sv);
+    delivered.on_terminated(sv.tuple());
     if (sv.status() == kernel::StreamStatus::kClosedTimeout) {
       timeout_closes.fetch_add(1, std::memory_order_relaxed);
     }

@@ -14,7 +14,9 @@
 //     same derivation shard_conservation_test uses), and
 //   - the per-shard golden trace timelines, byte for byte (event content
 //     is virtual-time driven; only the scheduling-dependent histogram
-//     block is excluded, per its registry class).
+//     block is excluded, per its registry class), and
+//   - the bytes delivered: a digest of every chunk the drain hook reads
+//     before releasing it, and their count.
 //
 // The config keeps rings ample and watermarks off so no shed/stall events
 // exist to begin with — their keyed reproducibility under pressure is
@@ -24,8 +26,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "base/mutex.hpp"
@@ -33,6 +37,7 @@
 #include "faultinject/faultinject.hpp"
 #include "kernel/shard.hpp"
 #include "kernel/stats_determinism.hpp"
+#include "tests/scap/delivered_digest.hpp"
 #include "trace/export.hpp"
 
 namespace scap {
@@ -41,6 +46,8 @@ namespace {
 struct Replay {
   std::vector<kernel::KernelStats> snaps;  // normalized, one per tick + final
   std::vector<std::string> traces;         // per-shard golden text timelines
+  std::uint64_t delivered_digest = 0;      // DeliveredDigest of every chunk
+  std::uint64_t delivered_bytes = 0;
 };
 
 constexpr int kWorkers = 4;
@@ -58,7 +65,25 @@ Replay replay(const std::vector<Packet>& pkts,
   opts.trace = trace::TraceConfig{/*ring_capacity=*/1 << 16, /*cores=*/1};
   kernel::KernelShards shards(cfg, kWorkers, opts);
   base::SerialGuard prod(shards.producer());
-  shards.start({});
+  // The drain hook reads every delivered chunk before releasing it, so the
+  // bytes themselves are compared, not only the counters that describe
+  // them.
+  DeliveredDigest delivered;
+  shards.start([&delivered](int, kernel::ScapKernel& k) {
+    base::SerialGuard serial(k.serial());
+    auto& q = k.events(0);
+    while (!q.empty()) {
+      kernel::Event ev = q.pop();
+      if (ev.type == kernel::EventType::kData) {
+        delivered.on_data(ev.stream.tuple,
+                          std::span<const std::uint8_t>(ev.chunk.data)
+                              .subspan(ev.chunk.overlap_len));
+      } else if (ev.type == kernel::EventType::kTerminated) {
+        delivered.on_terminated(ev.stream.tuple);
+      }
+      k.release_chunk(ev);
+    }
+  });
 
   Replay out;
   const Duration tick = cfg.expiry_interval;
@@ -83,6 +108,7 @@ Replay replay(const std::vector<Packet>& pkts,
   out.snaps.push_back(kernel::normalized(shards.stats()));
   shards.stop(last);
   out.snaps.push_back(kernel::normalized(shards.stats()));
+  std::tie(out.delivered_digest, out.delivered_bytes) = delivered.result();
 
   // Quiescent after stop(): serialize each shard's timeline. The
   // histogram block is deliberately not serialized — queue_occupancy is
@@ -113,6 +139,9 @@ void expect_identical(const Replay& ref, const Replay& got,
         << ref.snaps.size() << " (pkts_seen " << got.snaps[i].pkts_seen
         << " vs " << ref.snaps[i].pkts_seen << ")";
   }
+  EXPECT_EQ(got.delivered_bytes, ref.delivered_bytes) << what;
+  EXPECT_EQ(got.delivered_digest, ref.delivered_digest)
+      << what << ": delivered bytes differ";
   ASSERT_EQ(got.traces.size(), ref.traces.size()) << what;
   for (std::size_t i = 0; i < ref.traces.size(); ++i) {
     EXPECT_EQ(got.traces[i], ref.traces[i])
@@ -137,6 +166,7 @@ TEST(SchedulePerturbation, DelayedWorkersChangeNothingObservable) {
   const Replay ref = replay(pkts, cfg);
   ASSERT_GE(ref.snaps.size(), 4u) << "tick grid produced too few snapshots";
   EXPECT_GT(ref.snaps.back().pkts_seen, 0u);
+  EXPECT_GT(ref.delivered_bytes, 0u) << "nothing delivered";
 
   // Two distinct perturbation schedules: a periodic nap on every shard,
   // and a denser hashed nap victimizing a single shard (worst skew).

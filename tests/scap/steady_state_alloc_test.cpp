@@ -5,8 +5,9 @@
 // hooks and shows those amortized sites actually reach zero: once the flow
 // table and record pool cover the working set, per-packet lookup work
 // performs literally no allocations. The same holds for the batched kernel
-// entry on streams past their cutoff, and for NIC classify: FDIR match and
-// RSS on a populated filter table.
+// entry on streams past their cutoff, for chunk delivery (reassembly,
+// chunk buffers, event queue, release), and for NIC classify: FDIR match
+// and RSS on a populated filter table.
 
 #include <gtest/gtest.h>
 
@@ -191,6 +192,95 @@ TEST(SteadyStateAlloc, CutoffDiscardIsAllocFree) {
   EXPECT_EQ(after - before, 0u)
       << "batched cutoff discard allocated " << (after - before)
       << " time(s)";
+}
+
+// Chunk delivery end to end: streams that complete several 4 KiB chunks
+// each with an overlap carry, close with FIN and are replaced by new ones
+// through the record pool, ingested by handle_batch and drained by a
+// release loop. Once the size-class free lists, the event ring, each
+// builder's completed-chunk hand-off vector and the record pool cover the working
+// set, delivery allocates nothing — with and without per-packet records.
+void expect_chunk_delivery_alloc_free(bool need_pkts) {
+  SCOPED_TRACE(need_pkts ? "need_pkts on" : "need_pkts off");
+  constexpr std::uint32_t kStreams = 64;
+  constexpr std::uint32_t kDataPkts = 12;  // 17520 B: 4 full chunks + a partial
+  constexpr std::size_t kPayload = 1460;
+  constexpr int kWarmPasses = 3;
+  constexpr int kPasses = 8;
+  constexpr std::size_t kBatch = 32;
+
+  KernelConfig cfg;
+  cfg.need_pkts = need_pkts;
+  cfg.defaults.chunk_size = 4096;
+  cfg.defaults.overlap_size = 64;
+  ScapKernel k(cfg);
+  std::uint64_t chunks = 0;
+  std::uint64_t bytes = 0;
+  auto drain = [&] {
+    auto& q = k.events(0);
+    while (!q.empty()) {
+      Event ev = q.pop();
+      if (ev.type == EventType::kData) {
+        ++chunks;
+        bytes += ev.chunk.data.size() - ev.chunk.overlap_len;
+      }
+      k.release_chunk(ev);
+    }
+  };
+
+  // One pass: every stream's SYN, their data segments interleaved, then
+  // every FIN — each stream lives for one pass and its tuple reopens in
+  // the next through a recycled record.
+  const std::vector<std::uint8_t> payload(kPayload, 0x5a);
+  const Timestamp t0(0);
+  std::vector<Packet> pkts;
+  std::vector<FiveTuple> tuples(kStreams);
+  for (std::uint32_t i = 0; i < kStreams; ++i) {
+    tuples[i] = {0x0a000000u + i, 0xc0a80001u, 40000, 80, kProtoTcp};
+    pkts.push_back(make_tcp_packet(
+        {.tuple = tuples[i], .seq = 0, .flags = kTcpSyn}, t0));
+  }
+  for (std::uint32_t n = 0; n < kDataPkts; ++n) {
+    for (const FiveTuple& tup : tuples) {
+      pkts.push_back(make_tcp_packet(
+          {.tuple = tup,
+           .seq = 1 + n * static_cast<std::uint32_t>(kPayload),
+           .payload = payload},
+          t0));
+    }
+  }
+  for (const FiveTuple& tup : tuples) {
+    pkts.push_back(make_tcp_packet(
+        {.tuple = tup,
+         .seq = 1 + kDataPkts * static_cast<std::uint32_t>(kPayload),
+         .flags = kTcpAck | kTcpFin},
+        t0));
+  }
+  const std::span<const Packet> all(pkts);
+  auto pass = [&] {
+    for (std::size_t i = 0; i < all.size(); i += kBatch) {
+      k.handle_batch(all.subspan(i, std::min(kBatch, all.size() - i)), t0);
+      drain();
+    }
+  };
+  for (int p = 0; p < kWarmPasses; ++p) pass();
+
+  chunks = 0;
+  bytes = 0;
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int p = 0; p < kPasses; ++p) pass();
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(chunks, std::uint64_t{kStreams} * 5 * kPasses);
+  EXPECT_EQ(bytes, std::uint64_t{kStreams} * kDataPkts * kPayload * kPasses);
+  EXPECT_EQ(k.allocator().used(), 0u);
+  EXPECT_EQ(after - before, 0u)
+      << "chunk delivery allocated " << (after - before) << " time(s)";
+}
+
+TEST(SteadyStateAlloc, ChunkDeliveryIsAllocFree) {
+  expect_chunk_delivery_alloc_free(/*need_pkts=*/false);
+  expect_chunk_delivery_alloc_free(/*need_pkts=*/true);
 }
 
 // Record churn on a warm pool: grow() reserves the full pool up front
