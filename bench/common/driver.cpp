@@ -1,6 +1,7 @@
 #include "bench/common/driver.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace scap::bench {
 
@@ -42,9 +43,11 @@ constexpr std::uint64_t kStreamRegion = 256 * 1024;
 
 // --- ScapPipeline ----------------------------------------------------------------
 
-ScapPipeline::ScapPipeline(ScapRunOptions options) : opt_(std::move(options)),
-      nic_(opt_.softirq_cores) {
-  opt_.kernel.num_cores = opt_.softirq_cores;
+ScapPipeline::ScapPipeline(ScapRunOptions options)
+    : opt_(std::move(options)),
+      nic_(opt_.softirq_cores),
+      core_events_(static_cast<std::size_t>(opt_.softirq_cores)),
+      core_streams_(static_cast<std::size_t>(opt_.softirq_cores), 0) {
   opt_.kernel.use_fdir = opt_.use_fdir;
   kernel_ = std::make_unique<kernel::ScapKernel>(opt_.kernel, &nic_);
   for (int i = 0; i < opt_.softirq_cores; ++i) {
@@ -94,8 +97,73 @@ double ScapPipeline::softirq_cost(const kernel::PacketOutcome& out) const {
   return cycles;
 }
 
+ScapPipeline::SteeringPair::~SteeringPair() {
+  for (std::uint64_t id : filter_ids) fdir.remove(id);  // 0: never added
+}
+
+std::shared_ptr<ScapPipeline::SteeringPair> ScapPipeline::maybe_steer(
+    const Packet& pkt) {
+  if (!pkt.is_tcp() || !pkt.has_flag(kTcpSyn) || pkt.has_flag(kTcpAck)) {
+    return nullptr;
+  }
+  if (live_.size() < opt_.imbalance_min_streams) return nullptr;
+  // A SYN a filter already classifies belongs to a steered connection.
+  if (nic_.fdir().match(pkt) != nullptr) return nullptr;
+  const auto q = static_cast<std::size_t>(nic_.rss().queue_for(pkt));
+  if (static_cast<double>(core_streams_[q]) <=
+      opt_.imbalance_threshold * static_cast<double>(live_.size())) {
+    return nullptr;
+  }
+  const auto target = static_cast<std::size_t>(
+      std::min_element(core_streams_.begin(), core_streams_.end()) -
+      core_streams_.begin());
+  if (target == q) return nullptr;
+  auto pair = std::make_shared<SteeringPair>(nic_.fdir());
+  const FiveTuple tuples[2] = {pkt.tuple(), pkt.tuple().reversed()};
+  for (int i = 0; i < 2; ++i) {
+    nic::FdirFilter f;
+    f.tuple = tuples[i];
+    f.action = nic::FdirAction::kToQueue;
+    f.queue = static_cast<int>(target);
+    // Never expires: the pair leaves with its connection, and the kernel's
+    // expiry pass, which counts what it expires, never takes it.
+    f.expires = Timestamp(std::numeric_limits<std::int64_t>::max());
+    pair->filter_ids[i] = nic_.fdir().add(f);
+    // Rejected: dropping the pair undoes the half installed.
+    if (pair->filter_ids[i] == 0) return nullptr;
+  }
+  return pair;
+}
+
+void ScapPipeline::adopt(const kernel::PacketOutcome& out, int q,
+                         std::shared_ptr<SteeringPair> steering) {
+  LiveStream s{q, nullptr};
+  if (auto opp = live_.find(out.opposite); opp != live_.end()) {
+    s = opp->second;  // both directions on one core, sharing any pair
+  } else if (steering != nullptr) {
+    s.steering = std::move(steering);
+    ++result_.streams_rebalanced;
+  }
+  ++core_streams_[static_cast<std::size_t>(s.core)];
+  live_.emplace(out.stream_id, std::move(s));
+}
+
+void ScapPipeline::route_events() {
+  kernel::EventQueue& evq = kernel_->events();
+  while (!evq.empty()) {
+    kernel::Event ev = evq.pop();
+    const auto it = live_.find(ev.stream.id);
+    const auto core = static_cast<std::size_t>(it->second.core);
+    if (ev.type == kernel::EventType::kTerminated) {
+      --core_streams_[core];
+      live_.erase(it);
+    }
+    core_events_[core].push(std::move(ev));
+  }
+}
+
 void ScapPipeline::drain_events(int core, Timestamp ready) {
-  auto& evq = kernel_->events(core);
+  kernel::EventQueue& evq = core_events_[static_cast<std::size_t>(core)];
   const int workers = static_cast<int>(user_.size());
   while (!evq.empty()) {
     kernel::Event ev = evq.pop();
@@ -151,6 +219,8 @@ void ScapPipeline::offer(const Packet& pkt) {
   service_releases(t);
   if (cache_) cache_->drain_until(t);
 
+  std::shared_ptr<SteeringPair> steering;
+  if (opt_.dynamic_load_balance) steering = maybe_steer(pkt);
   const nic::RxResult rx = nic_.receive(pkt);
   if (rx.disposition == nic::RxDisposition::kDroppedByFilter) {
     ++result_.pkts_nic_filtered;
@@ -162,7 +232,9 @@ void ScapPipeline::offer(const Packet& pkt) {
     ++result_.pkts_dropped;  // RX descriptor ring overflow
     return;
   }
-  const kernel::PacketOutcome out = kernel_->handle_packet(pkt, t, q);
+  const kernel::PacketOutcome out = kernel_->handle_packet(pkt, t);
+  if (out.created_stream) adopt(out, q, std::move(steering));
+  route_events();
   const double soft_cycles = softirq_cost(out);
   soft.offer(t, pkt.wire_len(), soft_cycles);
   // The worker pinned to this core loses the cycles its colocated softirq
@@ -185,6 +257,7 @@ void ScapPipeline::offer(const Packet& pkt) {
 
 RunResult ScapPipeline::finish() {
   kernel_->terminate_all(last_ts_);
+  route_events();
   for (int c = 0; c < opt_.softirq_cores; ++c) {
     const Timestamp ready =
         std::max(last_ts_, softirq_[static_cast<std::size_t>(c)].busy_until());

@@ -4,12 +4,18 @@
 // Pipeline topology (mirrors the paper's testbed):
 //
 //   Scap:      NIC(RSS+FDIR) -> per-core softirq server (kernel module:
-//              flow tracking + reassembly + PPL) -> per-worker user server
-//              (event dispatch + optional pattern matching)
+//              flow tracking + reassembly + PPL) -> per-core event FIFO
+//              -> per-worker user server (event dispatch + optional
+//              pattern matching)
 //
 //   Baseline:  NIC(RSS) -> per-core softirq server (PF_PACKET ring copy)
 //              -> ONE shared 512MB capture ring -> single user thread
 //              (libpcap delivery + user-level engine + optional matching)
+//
+// The simulated cores share one ScapKernel, as the paper's per-core softirq
+// threads share one module: its single event queue is drained after every
+// packet into the FIFO of each event's stream's core. A stream's core is
+// fixed at creation, so every core sees its events in kernel order.
 //
 // Every stage is a sim::QueueServer; packets/events denied admission are
 // the experiment's "dropped packets". The chunk-buffer release times of
@@ -58,6 +64,7 @@ struct RunResult {
   std::uint64_t matches = 0;
   std::uint64_t streams_tracked = 0;
   std::uint64_t streams_with_data = 0;
+  std::uint64_t streams_rebalanced = 0;  // §2.4: connections steered
 
   // Per-priority accounting (Fig. 9).
   std::uint64_t prio_pkts[2] = {0, 0};
@@ -114,6 +121,13 @@ struct ScapRunOptions {
   /// actually run — for sweeps that only need the load, not match counts.
   bool count_matches = true;
   bool enable_cache_model = false;
+  /// Dynamic load balancing (§2.4): a SYN whose RX queue already holds more
+  /// than `imbalance_threshold` of the live streams (and at least
+  /// `imbalance_min_streams` of them) is steered, with both directions of
+  /// its connection, to the least-loaded queue by a pair of FDIR filters.
+  bool dynamic_load_balance = false;
+  double imbalance_threshold = 0.25;
+  std::size_t imbalance_min_streams = 64;  // don't rebalance tiny loads
 };
 
 class ScapPipeline {
@@ -127,9 +141,34 @@ class ScapPipeline {
   RunResult finish();
 
   kernel::ScapKernel& kernel() { return *kernel_; }
+  nic::Nic& nic() { return nic_; }
 
  private:
+  /// A §2.4 steering pair: one queue filter per direction of a connection.
+  /// The connection's live streams share it; the last one to go removes it.
+  struct SteeringPair {
+    explicit SteeringPair(nic::FdirTable& table) : fdir(table) {}
+    SteeringPair(const SteeringPair&) = delete;
+    SteeringPair& operator=(const SteeringPair&) = delete;
+    ~SteeringPair();
+    nic::FdirTable& fdir;
+    std::uint64_t filter_ids[2] = {0, 0};
+  };
+  struct LiveStream {
+    int core = 0;
+    std::shared_ptr<SteeringPair> steering;
+  };
+
   void service_releases(Timestamp now);
+  /// §2.4: the pair that steers a SYN off an overloaded queue, installed
+  /// before the NIC classifies the SYN; null when the SYN stays put.
+  std::shared_ptr<SteeringPair> maybe_steer(const Packet& pkt);
+  /// Fix the core of the stream `out` created: its live opposite's, else
+  /// the packet's queue `q`, where it takes over `steering`.
+  void adopt(const kernel::PacketOutcome& out, int q,
+             std::shared_ptr<SteeringPair> steering);
+  /// Move the kernel's events into the FIFO of their stream's core.
+  void route_events();
   void drain_events(int core, Timestamp ready);
   double softirq_cost(const kernel::PacketOutcome& out) const;
 
@@ -138,6 +177,9 @@ class ScapPipeline {
   std::unique_ptr<kernel::ScapKernel> kernel_;
   std::vector<sim::QueueServer> softirq_;
   std::vector<sim::QueueServer> user_;
+  std::vector<kernel::EventQueue> core_events_;
+  std::unordered_map<kernel::StreamId, LiveStream> live_;
+  std::vector<std::int64_t> core_streams_;  // live streams per core
   struct Release {
     std::int64_t t_ns;
     std::uint32_t size;

@@ -1,10 +1,7 @@
-// Fixed-capacity ring buffer.
-//
-// Models every bounded queue in the pipeline: NIC RX descriptor rings, the
-// PF_PACKET-style shared capture ring of the baselines, and the per-core
-// event queues of the Scap kernel path. When a ring is full the producer
-// drops — exactly the behaviour whose placement the paper's evaluation is
-// about.
+// Lock-free rings of the sharded datapath (DESIGN.md §12): the SPSC shard
+// ingest ring and the MPSC FDIR command queue. Their single-threaded ends
+// are serialization capabilities, so clang's thread-safety analysis proves
+// every call site runs in the one context allowed to make it.
 #pragma once
 
 #include <atomic>
@@ -21,62 +18,6 @@
 #include "base/thread_annotations.hpp"
 
 namespace scap {
-
-template <typename T>
-class Ring {
- public:
-  explicit Ring(std::size_t capacity)
-      : slots_(capacity > 0 ? capacity : 1) {}
-
-  std::size_t capacity() const { return slots_.size(); }
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  bool full() const { return size_ == slots_.size(); }
-
-  /// Returns false (and counts a drop) when full.
-  bool push(T value) {
-    if (full()) {
-      ++drops_;
-      return false;
-    }
-    slots_[tail_] = std::move(value);
-    tail_ = (tail_ + 1) % slots_.size();
-    ++size_;
-    if (size_ > high_water_) high_water_ = size_;
-    return true;
-  }
-
-  std::optional<T> pop() {
-    if (empty()) return std::nullopt;
-    T value = std::move(slots_[head_]);
-    head_ = (head_ + 1) % slots_.size();
-    --size_;
-    return value;
-  }
-
-  /// Peek without removing; undefined when empty (check empty() first).
-  const T& front() const { return slots_[head_]; }
-
-  std::uint64_t drops() const { return drops_; }
-  std::size_t high_water() const { return high_water_; }
-  void reset_counters() {
-    drops_ = 0;
-    high_water_ = size_;
-  }
-
-  void clear() {
-    head_ = tail_ = 0;
-    size_ = 0;
-  }
-
- private:
-  std::vector<T> slots_;
-  std::size_t head_ = 0;
-  std::size_t tail_ = 0;
-  std::size_t size_ = 0;
-  std::size_t high_water_ = 0;
-  std::uint64_t drops_ = 0;
-};
 
 /// Destructive-interference padding. Fixed at 64 bytes (the line size on
 /// every target we build for) rather than std::hardware_destructive_

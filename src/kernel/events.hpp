@@ -42,7 +42,7 @@ struct Event {
   std::uint64_t app_mask = ~0ULL;
 };
 
-/// Per-core event queue: a power-of-two ring of Events that doubles when
+/// The kernel's event queue: a power-of-two ring of Events that doubles when
 /// full and keeps its capacity, so once it has grown to the consumers'
 /// backlog, pushes allocate nothing. Popping moves the event out and
 /// leaves a slot that owns no chunk buffer.
@@ -56,8 +56,6 @@ class EventQueue {
     if (size_ == slots_.size()) grow();
     slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(ev);
     ++size_;
-    if (size_ > high_water_) high_water_ = size_;
-    ++pushed_;
   }
 
   bool empty() const { return size_ == 0; }
@@ -69,9 +67,6 @@ class EventQueue {
     --size_;
     return ev;
   }
-
-  std::uint64_t pushed() const { return pushed_; }
-  std::size_t high_water() const { return high_water_; }
 
  private:
   static constexpr std::size_t kInitialSlots = 16;
@@ -91,8 +86,6 @@ class EventQueue {
   std::vector<Event> slots_;  // size is zero or a power of two
   std::size_t head_ = 0;
   std::size_t size_ = 0;
-  std::uint64_t pushed_ = 0;
-  std::size_t high_water_ = 0;
 };
 
 }  // namespace scap::kernel

@@ -68,7 +68,6 @@ struct StreamRecord {
   std::uint64_t chunks_delivered = 0;
   Duration processing_time = Duration(0);
 
-  int core = 0;
   Timestamp created_at;
   Timestamp last_access;
   Timestamp last_flush;  // last data-event emission (flush timeout basis)

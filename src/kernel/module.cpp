@@ -165,11 +165,13 @@ std::string KernelStats::check_conservation() const {
   }
 
   // Law 7: FDIR removals never outrun installs — every removed (or
-  // expired) hardware filter was placed by a counted install, and each
+  // expired) cutoff filter was placed by a counted install, and each
   // counted install/reinstall places at most two filters (one per cutoff
-  // flag combination, or both rebalance directions). Queue-mode apply-time
-  // counting preserves this: a removal is only counted when a physically
-  // present filter comes out of the table.
+  // flag combination). Queue-mode apply-time counting preserves this: a
+  // removal is only counted when a physically present filter comes out of
+  // the table. Queue-steering filters are not the kernel's: removal takes
+  // only drop filters out, and the expiry pass only reaches filters that
+  // expire.
   if (fdir_removals > 2 * (fdir_installs + fdir_reinstalls)) {
     return violation("fdir_removals <= 2*(fdir_installs + fdir_reinstalls)",
                      fdir_removals, 2 * (fdir_installs + fdir_reinstalls));
@@ -265,10 +267,9 @@ ScapKernel::ScapKernel(KernelConfig config, nic::Nic* nic)
       allocator_(config_.memory_size),
       table_(config_.max_streams, config_.flow_hash_seed),
       ppl_(config_.ppl),
-      queues_(static_cast<std::size_t>(std::max(config_.num_cores, 1))),
-      core_streams_(queues_.size(), 0),
       defrag_(IpDefragmenter::Config{.policy = config_.defaults.policy}) {
-  if (config_.use_fdir || config_.dynamic_load_balance) {
+  SCAP_ASSERT(config_.num_cores == 1, "a kernel serves one core");
+  if (config_.use_fdir) {
     fdir_outbox_ = std::make_unique<FdirCommandQueue>(kFdirOutboxCapacity);
   }
 }
@@ -297,10 +298,8 @@ FdirApplied apply_fdir_commands(FdirCommandQueue& outbox, nic::Nic& nic,
         break;
       }
       case FdirCommand::Kind::kRemove:
-        applied.removals += nic.fdir().remove_tuple(cmd->tuple);
-        if (cmd->also_reversed) {
-          applied.removals += nic.fdir().remove_tuple(cmd->tuple.reversed());
-        }
+        applied.removals +=
+            nic.fdir().remove_tuple(cmd->tuple, nic::FdirAction::kDrop);
         break;
     }
   }
@@ -329,56 +328,6 @@ bool ScapKernel::queue_fdir(const FdirCommand& cmd, Timestamp now) {
   if (nic_ == nullptr) return false;
   apply_fdir_outbox(now);
   return fdir_outbox_->try_push(cmd);
-}
-
-void ScapKernel::maybe_rebalance(StreamRecord& rec, Timestamp now) {
-  if (!config_.dynamic_load_balance || nic_ == nullptr) return;
-  if (core_streams_.size() < 2) return;
-  std::int64_t total = 0;
-  for (std::int64_t n : core_streams_) total += n;
-  if (total < static_cast<std::int64_t>(config_.imbalance_min_streams)) return;
-  const auto core = static_cast<std::size_t>(rec.core);
-  if (static_cast<double>(core_streams_[core]) <=
-      config_.imbalance_threshold * static_cast<double>(total)) {
-    return;
-  }
-  // Steer to the least-loaded core with a pair of FDIR filters (both
-  // directions of the connection).
-  std::size_t target = 0;
-  for (std::size_t i = 1; i < core_streams_.size(); ++i) {
-    if (core_streams_[i] < core_streams_[target]) target = i;
-  }
-  if (target == core) return;
-  // Queued removals go first, as if they had been written when queued.
-  apply_fdir_outbox(now);
-  std::uint64_t installed_ids[2] = {0, 0};
-  int installed = 0;
-  for (const FiveTuple& tuple : {rec.tuple, rec.tuple.reversed()}) {
-    nic::FdirFilter f;
-    f.tuple = tuple;
-    f.action = nic::FdirAction::kToQueue;
-    f.queue = static_cast<int>(target);
-    f.expires = now + rec.params.inactivity_timeout;
-    const std::uint64_t id = nic_->fdir().add(f);
-    if (id == 0) {
-      // Steering filter rejected: abort the rebalance and undo the filters
-      // installed so far, leaving the stream on its RSS core.
-      ++stats_.fdir_install_failures;
-      for (int i = 0; i < installed; ++i) {
-        if (nic_->fdir().remove(installed_ids[i])) ++stats_.fdir_removals;
-      }
-      return;
-    }
-    installed_ids[installed++] = id;
-    ++stats_.fdir_installs;
-  }
-  rec.core = static_cast<int>(target);
-  rec.fdir_installed = true;  // termination removes the steering filters
-  if (StreamRecord* opp = table_.by_id(rec.opposite)) {
-    opp->core = static_cast<int>(target);
-    opp->fdir_installed = true;
-  }
-  ++stats_.streams_rebalanced;
 }
 
 std::uint64_t ScapKernel::app_mask_for(const FiveTuple& tuple) const {
@@ -438,7 +387,7 @@ void ScapKernel::emit_created(StreamRecord& rec) {
   ev.type = EventType::kCreated;
   ev.stream = snapshot(rec);
   ev.app_mask = app_mask_for(rec.tuple);
-  queues_[static_cast<std::size_t>(rec.core)].push(std::move(ev));
+  events_.push(std::move(ev));
   ++stats_.events_emitted;
 }
 
@@ -452,7 +401,7 @@ void ScapKernel::emit_data(StreamRecord& rec, Chunk&& chunk,
     // Chunk latency is first contributing segment -> delivery, in µs.
     const std::int64_t lat_ns =
         chunk.first_ts.ns() > 0 ? (rec.last_access - chunk.first_ts).ns() : 0;
-    tracer_->record(trace::TraceEventType::kChunkDelivered, rec.core,
+    tracer_->record(trace::TraceEventType::kChunkDelivered, 0,
                     rec.last_access, rec.id, 0,
                     static_cast<std::uint32_t>(chunk.data.size()),
                     chunk.stream_offset);
@@ -485,20 +434,20 @@ void ScapKernel::emit_data(StreamRecord& rec, Chunk&& chunk,
   ev.chunk = std::move(chunk);
   rec.chunks_delivered++;
   rec.last_flush = rec.last_access;
-  queues_[static_cast<std::size_t>(rec.core)].push(std::move(ev));
+  events_.push(std::move(ev));
   ++stats_.events_emitted;
 }
 
 void ScapKernel::emit_terminated(StreamRecord& rec) {
-  SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kStreamTerminated,
-                   rec.core, rec.last_access, rec.id,
+  SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kStreamTerminated, 0,
+                   rec.last_access, rec.id,
                    static_cast<std::uint16_t>(rec.status), 0, rec.stats.bytes);
   SCAP_TRACE_METRIC(tracer_, stream_size_bytes, rec.stats.bytes);
   Event ev;
   ev.type = EventType::kTerminated;
   ev.stream = snapshot(rec);
   ev.app_mask = app_mask_for(rec.tuple);
-  queues_[static_cast<std::size_t>(rec.core)].push(std::move(ev));
+  events_.push(std::move(ev));
   ++stats_.events_emitted;
   ++stats_.streams_terminated;
 }
@@ -546,7 +495,7 @@ void ScapKernel::install_fdir(StreamRecord& rec, Timestamp now, bool reinstall,
     stats_.fdir_install_failures += nic::kCutoffFilters;
   }
   SCAP_TRACE_EVENT(
-      tracer_, trace::TraceEventType::kFdirInstall, rec.core, now, rec.id,
+      tracer_, trace::TraceEventType::kFdirInstall, 0, now, rec.id,
       static_cast<std::uint16_t>(queued ? (reinstall ? 1 : 0) : 2));
 }
 
@@ -572,18 +521,13 @@ void ScapKernel::close_stream(StreamRecord& rec, StreamStatus status,
     FdirCommand cmd;
     cmd.kind = FdirCommand::Kind::kRemove;
     cmd.tuple = rec.tuple;
-    // Steering filters are installed for both directions; if no opposite
-    // record exists to clean up the reverse one, do it here.
-    cmd.also_reversed = rec.opposite == kInvalidStreamId;
     // A dropped removal leaves the filters to their timeout.
     (void)queue_fdir(cmd, now);
     rec.fdir_installed = false;
-    SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kFdirEvict, rec.core,
-                     now, rec.id, 0);
+    SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kFdirEvict, 0, now,
+                     rec.id, 0);
   }
   flush_watch_.erase(rec.id);
-  auto& count = core_streams_[static_cast<std::size_t>(rec.core)];
-  if (count > 0) --count;
   emit_terminated(rec);
 }
 
@@ -595,7 +539,6 @@ void ScapKernel::terminate(StreamRecord& rec, StreamStatus status,
 }
 
 StreamRecord* ScapKernel::lookup_or_create(const Packet& pkt, Timestamp now,
-                                           int core,
                                            PacketOutcome& outcome) {
   StreamRecord* rec = table_.find(pkt.tuple());
   SCAP_TRACE_METRIC(tracer_, flow_probe_len, table_.last_probe_len());
@@ -621,7 +564,6 @@ StreamRecord* ScapKernel::lookup_or_create(const Packet& pkt, Timestamp now,
     return nullptr;
   }
 
-  rec->core = core;
   rec->stats.first_packet = now;
 
   // Direction + opposite linkage (must precede parameter resolution: the
@@ -632,7 +574,6 @@ StreamRecord* ScapKernel::lookup_or_create(const Packet& pkt, Timestamp now,
                                             : Direction::kOrig;
     rec->opposite = opp->id;
     opp->opposite = rec->id;
-    rec->core = opp->core;  // both directions on one core (symmetric RSS)
   } else {
     rec->dir = Direction::kOrig;
   }
@@ -643,7 +584,7 @@ StreamRecord* ScapKernel::lookup_or_create(const Packet& pkt, Timestamp now,
   if (rec->reasm) {
     rec->reasm->reset(rec->params, config_.need_pkts);
   } else {
-    // scap-lint: allow(hot-alloc) one reassembler per record slot, first use only — recycled records reset in place (ROADMAP item 2: move into the record pool slab)
+    // scap-lint: allow(hot-alloc) one reassembler per record slot, first use only — recycled records reset in place (DESIGN.md §14 inventory)
     rec->reasm = std::make_unique<TcpReassembler>(
         rec->params, config_.need_pkts, TcpReassembler::kDefaultMaxOooBytes,
         &allocator_);
@@ -651,15 +592,15 @@ StreamRecord* ScapKernel::lookup_or_create(const Packet& pkt, Timestamp now,
   // scap-lint: allow(hot-alloc) flush-watch set grows only for streams configured with flush timeouts (DESIGN.md §14 inventory)
   if (rec->params.flush_timeout > Duration(0)) flush_watch_.insert(rec->id);
 
-  maybe_rebalance(*rec, now);
-  ++core_streams_[static_cast<std::size_t>(rec->core)];
   ++stats_.streams_created;
   // Traced here, not in emit_created: creation events are configurable but
-  // the trace law count(stream_created) == streams_created is not.
-  SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kStreamCreated, rec->core,
-                   now, rec->id, static_cast<std::uint16_t>(rec->core),
+  // the trace law count(stream_created) == streams_created is not. The
+  // a16 field is the core, always 0 for a one-core kernel.
+  SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kStreamCreated, 0, now,
+                   rec->id, 0,
                    static_cast<std::uint32_t>(rec->params.priority));
   outcome.created_stream = true;
+  outcome.opposite = rec->opposite;
   emit_created(*rec);
   return rec;
 }
@@ -809,13 +750,14 @@ void ScapKernel::handle_payload(StreamRecord& rec, const Packet& pkt,
 
 PacketOutcome ScapKernel::handle_packet(const Packet& pkt, Timestamp now,
                                         int core) {
+  SCAP_ASSERT(core == 0, "a kernel serves one core");
   if (now - last_maintenance_ >= config_.expiry_interval) {
     // scap-lint: allow(hot-cold-call) amortized maintenance tick: at most once per expiry_interval, not per packet
     run_maintenance(now);
   }
-  const PacketOutcome out = handle_one(pkt, now, core);
+  const PacketOutcome out = handle_one(pkt, now);
   ++stats_.verdicts[static_cast<std::size_t>(out.verdict)];
-  SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kPacketVerdict, core, now,
+  SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kPacketVerdict, 0, now,
                    out.stream_id, static_cast<std::uint16_t>(out.verdict),
                    pkt.wire_len());
   if (owns_fdir()) apply_fdir_outbox(now);
@@ -825,6 +767,7 @@ PacketOutcome ScapKernel::handle_packet(const Packet& pkt, Timestamp now,
 PacketOutcome ScapKernel::handle_batch(std::span<const Packet> pkts,
                                        Timestamp now, int core,
                                        std::span<PacketOutcome> outcomes) {
+  SCAP_ASSERT(core == 0, "a kernel serves one core");
   // One maintenance-timer check per batch instead of per packet.
   if (now - last_maintenance_ >= config_.expiry_interval) {
     // scap-lint: allow(hot-cold-call) amortized maintenance tick: at most once per expiry_interval, not per batch element
@@ -837,9 +780,9 @@ PacketOutcome ScapKernel::handle_batch(std::span<const Packet> pkts,
     if (i + 2 < pkts.size() && pkts[i + 2].valid()) {
       table_.prefetch(table_.hash_of(pkts[i + 2].tuple()));
     }
-    const PacketOutcome out = handle_one(pkts[i], pkts[i].timestamp(), core);
+    const PacketOutcome out = handle_one(pkts[i], pkts[i].timestamp());
     ++stats_.verdicts[static_cast<std::size_t>(out.verdict)];
-    SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kPacketVerdict, core,
+    SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kPacketVerdict, 0,
                      pkts[i].timestamp(), out.stream_id,
                      static_cast<std::uint16_t>(out.verdict),
                      pkts[i].wire_len());
@@ -855,8 +798,7 @@ PacketOutcome ScapKernel::handle_batch(std::span<const Packet> pkts,
   return total;
 }
 
-PacketOutcome ScapKernel::handle_one(const Packet& pkt, Timestamp now,
-                                     int core) {
+PacketOutcome ScapKernel::handle_one(const Packet& pkt, Timestamp now) {
   PacketOutcome outcome;
   ++stats_.pkts_seen;
   stats_.bytes_seen += pkt.wire_len();
@@ -893,11 +835,11 @@ PacketOutcome ScapKernel::handle_one(const Packet& pkt, Timestamp now,
     }
   }
   const Packet& pkt2 = *effective;
-  return handle_decoded(pkt2, now, core, outcome);
+  return handle_decoded(pkt2, now, outcome);
 }
 
 PacketOutcome ScapKernel::handle_decoded(const Packet& pkt, Timestamp now,
-                                         int core, PacketOutcome& outcome) {
+                                         PacketOutcome& outcome) {
   if (!config_.filter.matches(pkt.tuple())) {
     ++stats_.pkts_filtered;
     outcome.verdict = Verdict::kFilteredBpf;
@@ -913,7 +855,7 @@ PacketOutcome ScapKernel::handle_decoded(const Packet& pkt, Timestamp now,
 
   // A nullptr keeps whatever verdict lookup_or_create set (kNoRecordDrop on
   // allocation failure, the default kIgnored for FIN/RST of unknown flows).
-  StreamRecord* rec = lookup_or_create(pkt, now, core, outcome);
+  StreamRecord* rec = lookup_or_create(pkt, now, outcome);
   if (rec == nullptr) {
     if (outcome.verdict == Verdict::kIgnored) ++stats_.pkts_ignored;
     return outcome;
@@ -1012,11 +954,9 @@ void ScapKernel::run_maintenance(Timestamp now) {
                    allocator_.used());
 #if defined(SCAP_ENABLE_TRACE)
   if (tracer_ != nullptr) {
-    // Per-queue backlog distribution, sampled at the deterministic
-    // maintenance cadence (one sample per queue per tick).
-    for (const EventQueue& q : queues_) {
-      tracer_->metrics().queue_occupancy.add(q.size());
-    }
+    // Event-queue backlog distribution, sampled at the deterministic
+    // maintenance cadence (one sample per tick).
+    tracer_->metrics().queue_occupancy.add(events_.size());
   }
 #endif
 

@@ -8,13 +8,14 @@
 // NIC. A kernel built with a Nic* is that NIC's owner and applies its own
 // outbox; a shard kernel's is applied by the producer (DESIGN.md §12).
 //
-// This class is the software-interrupt handler of Figure 2: it consumes
-// decoded packets (one instance may serve multiple simulated cores — the
-// `core` argument selects the event queue, mirroring the per-core kernel
-// threads) and produces creation/data/termination events carrying
-// reassembled chunks. It performs no cycle accounting itself; the returned
-// PacketOutcome tells the simulation driver exactly which operations
-// happened so their costs can be charged in the right context.
+// This class is the software-interrupt handler of Figure 2 for one core:
+// it consumes decoded packets and produces creation/data/termination
+// events carrying reassembled chunks into its one event queue. A
+// multi-core capture runs one kernel per core (KernelShards); the figure
+// driver, which simulates several cores over one kernel, routes the queue
+// to its cores itself. The kernel performs no cycle accounting; the
+// returned PacketOutcome tells the simulation driver exactly which
+// operations happened so their costs can be charged in the right context.
 #pragma once
 
 #include <cstdint>
@@ -70,13 +71,6 @@ struct KernelConfig {
   bool use_fdir = false;
   Duration fdir_base_timeout = Duration::from_sec(10);
 
-  /// Dynamic load balancing (§2.4): when the core a new stream RSS-hashed
-  /// to already holds more than `imbalance_threshold` of all active
-  /// streams, steer the stream to the least-loaded core with FDIR filters.
-  bool dynamic_load_balance = false;
-  double imbalance_threshold = 0.25;
-  std::size_t imbalance_min_streams = 64;  // don't rebalance tiny loads
-
   /// Flow-record budget; 0 = unlimited (grow until host memory).
   std::size_t max_streams = 0;
 
@@ -120,6 +114,9 @@ struct KernelConfig {
   /// their datagram completes, then processed as one packet.
   bool defragment_ip = false;
 
+  /// Always 1: a kernel serves one core. Kept, and asserted in the
+  /// constructor, only because the benchmark's traced session still
+  /// writes it; it goes once the benchmark stops doing so.
   int num_cores = 1;
 };
 
@@ -155,6 +152,9 @@ struct PacketOutcome {
   /// Stream the packet resolved to (kInvalidStreamId when it never reached
   /// a record: invalid, filtered, ignored, held fragments, failed creates).
   StreamId stream_id = kInvalidStreamId;
+  /// When the packet created its stream: the live opposite-direction
+  /// stream it was linked to, if any.
+  StreamId opposite = kInvalidStreamId;
 };
 
 /// Kernel counters. Every field is one row of the counter table
@@ -207,9 +207,6 @@ struct FdirCommand {
   /// kInstallCutoff: re-install after a filter timeout (doubled timeout),
   /// counted in fdir_reinstalls, not fdir_installs.
   bool reinstall = false;
-  /// kRemove: also drop the reverse-direction filter (set when no
-  /// opposite-direction stream record remains to clean it up).
-  bool also_reversed = false;
 };
 
 using FdirCommandQueue = MpscQueue<FdirCommand>;
@@ -217,7 +214,7 @@ using FdirCommandQueue = MpscQueue<FdirCommand>;
 /// What applying FDIR commands did to the NIC, under the one counting
 /// rule: an install or reinstall counts when the NIC accepts at least one
 /// of its filters, every filter the NIC rejects is one install failure,
-/// and removals count the filters actually taken out.
+/// and removals count the cutoff filters actually taken out.
 struct FdirApplied {
   std::uint64_t installs = 0;
   std::uint64_t reinstalls = 0;
@@ -250,18 +247,21 @@ class ScapKernel {
     return serial_;
   }
 
-  /// Process one packet in softirq context on `core`.
+  /// Process one packet in softirq context. `core` must be 0: the
+  /// parameter stays only because the benchmark's traced session still
+  /// passes it, and goes once the benchmark stops doing so.
   SCAP_HOT PacketOutcome handle_packet(const Packet& pkt, Timestamp now,
                                        int core = 0) SCAP_REQUIRES(serial_);
 
-  /// Batched ingest: process `pkts` on `core`, amortizing the maintenance
-  /// check (run once, at `now`) and prefetching each packet's flow-table
-  /// probe window two packets ahead of its lookup. Each packet is processed
-  /// at its own timestamp. When `outcomes` is non-empty it receives the
-  /// per-packet outcome (outcomes.size() >= pkts.size()); the return value
-  /// aggregates the batch (verdict = last packet's, counters summed).
-  /// handle_batch({&pkt, 1}, now, core) is behaviourally identical to
-  /// handle_packet(pkt, now, core) when now == pkt.timestamp().
+  /// Batched ingest: process `pkts`, amortizing the maintenance check (run
+  /// once, at `now`) and prefetching each packet's flow-table probe window
+  /// two packets ahead of its lookup. Each packet is processed at its own
+  /// timestamp. When `outcomes` is non-empty it receives the per-packet
+  /// outcome (outcomes.size() >= pkts.size()); the return value aggregates
+  /// the batch (verdict = last packet's, counters summed).
+  /// handle_batch({&pkt, 1}, now) is behaviourally identical to
+  /// handle_packet(pkt, now) when now == pkt.timestamp(). `core` must be 0,
+  /// pinned for the benchmark as in handle_packet.
   SCAP_HOT PacketOutcome handle_batch(std::span<const Packet> pkts,
                                       Timestamp now, int core = 0,
                                       std::span<PacketOutcome> outcomes = {})
@@ -275,11 +275,13 @@ class ScapKernel {
   /// Flush + terminate every remaining stream (end of capture).
   SCAP_COLD void terminate_all(Timestamp now) SCAP_REQUIRES(serial_);
 
-  /// Event access (per core). The queues are the worker handoff point: in
-  /// threaded mode workers pop them under the same serialization the
-  /// producer pushes under (capture's kernel_mutex_ + this domain).
-  EventQueue& events(int core) SCAP_REQUIRES(serial_) {
-    return queues_[static_cast<std::size_t>(core)];
+  /// The event queue, the worker handoff point: in threaded mode workers
+  /// pop it under the same serialization the producer pushes under
+  /// (capture's kernel_mutex_ + this domain). `core` must be 0, pinned for
+  /// the benchmark as in handle_packet.
+  EventQueue& events(int core = 0) SCAP_REQUIRES(serial_) {
+    SCAP_ASSERT(core == 0, "a kernel has one event queue");
+    return events_;
   }
 
   /// The consumer hands each data event's chunk back once the application
@@ -327,7 +329,7 @@ class ScapKernel {
   trace::Tracer* tracer() const { return tracer_; }
 
   /// The FDIR commands this kernel queued and nobody has applied yet; null
-  /// unless it programs filters (use_fdir or dynamic_load_balance). Set at
+  /// unless it programs cutoff filters (use_fdir). Set at
   /// construction. A kernel built with a Nic* applies it itself; otherwise
   /// the NIC's owner drains it (KernelShards::service_fdir) from its own
   /// thread — the queue's one consumer.
@@ -376,10 +378,10 @@ class ScapKernel {
 
   /// handle_packet minus the maintenance-timer check (the batch path runs
   /// that once per batch).
-  PacketOutcome handle_one(const Packet& pkt, Timestamp now, int core)
+  PacketOutcome handle_one(const Packet& pkt, Timestamp now)
       SCAP_REQUIRES(serial_);
 
-  StreamRecord* lookup_or_create(const Packet& pkt, Timestamp now, int core,
+  StreamRecord* lookup_or_create(const Packet& pkt, Timestamp now,
                                  PacketOutcome& outcome)
       SCAP_REQUIRES(serial_);
   void resolve_params(StreamRecord& rec) SCAP_REQUIRES(serial_);
@@ -414,12 +416,8 @@ class ScapKernel {
   void flush_chunks(StreamRecord& rec, std::uint32_t error_bits)
       SCAP_REQUIRES(serial_);
 
-  /// Steer a freshly created stream away from an overloaded core (§2.4).
-  void maybe_rebalance(StreamRecord& rec, Timestamp now)
-      SCAP_REQUIRES(serial_);
-
   /// Post-defragmentation continuation of handle_packet.
-  PacketOutcome handle_decoded(const Packet& pkt, Timestamp now, int core,
+  PacketOutcome handle_decoded(const Packet& pkt, Timestamp now,
                                PacketOutcome& outcome) SCAP_REQUIRES(serial_);
 
   KernelConfig config_;
@@ -433,7 +431,7 @@ class ScapKernel {
   ChunkAllocator allocator_;
   FlowTable table_;
   Ppl ppl_;
-  std::vector<EventQueue> queues_;
+  EventQueue events_;
   // mutable: stats() mirrors pool occupancy into the struct on read.
   mutable KernelStats stats_;
   Timestamp last_maintenance_;
@@ -441,10 +439,9 @@ class ScapKernel {
   // resulting flush order is observable (chunk events, traces), so it must
   // be a function of stream identity, not of hash-bucket layout.
   std::set<StreamId> flush_watch_;  // streams with flush timeouts
-  std::vector<std::int64_t> core_streams_;    // active streams per core
   IpDefragmenter defrag_;
-  /// Per-core trace rings are recorded into from the serial domain only;
-  /// the pointer is set once (set_tracer) before the first packet.
+  /// Recorded into (on lane 0) from the serial domain only; the pointer
+  /// is set once (set_tracer) before the first packet.
   trace::Tracer* tracer_ SCAP_PT_GUARDED_BY(serial_) = nullptr;
   /// FDIR commands awaiting the NIC's owner (fdir_outbox()). Pushed from
   /// the serial domain only; popped by the one applier.

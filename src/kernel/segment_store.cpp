@@ -66,7 +66,7 @@ SegmentStore::InsertResult SegmentStore::insert(
   if (overlapping.empty()) {
     bytes_ += data.size();
     result.new_bytes = data.size();
-    // scap-lint: allow(hot-alloc) OOO segment buffering is the strict-mode trade-off, bounded by max_ooo_bytes; ROADMAP item 2 worklist (DESIGN.md §14 inventory)
+    // scap-lint: allow(hot-alloc) OOO segment buffering is the strict-mode trade-off, bounded by max_ooo_bytes (DESIGN.md §14 inventory)
     segments_.emplace(off, std::vector<std::uint8_t>(data.begin(), data.end()));
     return result;
   }

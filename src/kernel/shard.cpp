@@ -19,7 +19,7 @@ std::string law_violation(const char* law, std::uint64_t lhs,
 }
 
 /// Derive one shard's config from the capture-wide config: private slabs
-/// sized at an even split, single event queue, no cross-shard steering.
+/// sized at an even split.
 KernelConfig shard_config(const KernelConfig& base, int num_shards) {
   KernelConfig c = base;
   const auto n = static_cast<std::uint64_t>(num_shards);
@@ -28,10 +28,7 @@ KernelConfig shard_config(const KernelConfig& base, int num_shards) {
     c.max_streams = (c.max_streams + static_cast<std::size_t>(n) - 1) /
                     static_cast<std::size_t>(n);
   }
-  c.num_cores = 1;
-  // RSS flow affinity *is* the balance policy in sharded mode (paper §4.2);
-  // FDIR-based steering to another core would move a flow off its shard.
-  c.dynamic_load_balance = false;
+  c.num_cores = 1;  // the benchmark's config may carry its worker count
   return c;
 }
 
@@ -136,7 +133,7 @@ void KernelShards::process_run(int shard, std::span<const Packet> pkts) {
   // scap-lint: allow(hot-mutex) one batch-granular lock (producer vs stop/check_invariants), amortized over the whole run — never per packet
   base::MutexLock lock(s.mu);
   base::SerialGuard serial(s.kernel.serial());
-  s.kernel.handle_batch(pkts, pkts.back().timestamp(), /*core=*/0);
+  s.kernel.handle_batch(pkts, pkts.back().timestamp());
   s.consumed_pkts.fetch_add(pkts.size(), std::memory_order_relaxed);
   publish_and_drain(s, shard);
 }
@@ -544,7 +541,7 @@ void KernelShards::process_items(Shard& s, int shard,
       ++i;
     }
     s.kernel.handle_batch(std::span<const Packet>(scratch.data(), run),
-                          scratch[run - 1].timestamp(), /*core=*/0);
+                          scratch[run - 1].timestamp());
     pkts += run;
   }
   // Consumed-packet tally for the in-flight accounting (updated inside the
@@ -582,7 +579,7 @@ void KernelShards::drain_shard(int shard, ScapKernel& k) {
   }
   // Self-drain (benches, chaos_run): consume the events and release their
   // chunk accounting so the allocator balances.
-  EventQueue& q = k.events(0);
+  EventQueue& q = k.events();
   while (!q.empty()) {
     Event ev = q.pop();
     k.release_chunk(ev);

@@ -139,9 +139,10 @@ class KernelShards {
   using DrainFn = std::function<void(int shard, ScapKernel& kernel)>;
 
   /// The shard configs are derived from `config`: memory_size and a
-  /// nonzero max_streams are divided across shards, num_cores forced to 1,
-  /// dynamic_load_balance off (cross-shard steering would break flow
-  /// affinity — RSS affinity *is* the balance policy, paper §4.2).
+  /// nonzero max_streams are divided across shards. RSS affinity *is* the
+  /// balance policy (paper §4.2): shards share no flow state, so steering a
+  /// flow to another queue would split it across two kernels. §2.4
+  /// steering lives in the figure driver, whose cores share one kernel.
   KernelShards(const KernelConfig& config, int num_shards);
   KernelShards(const KernelConfig& config, int num_shards, Options opts);
   /// Inline shards: one shard, never a worker thread. The shard kernel

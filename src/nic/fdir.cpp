@@ -104,12 +104,14 @@ bool FdirTable::remove(std::uint64_t id) {
   return true;
 }
 
-std::size_t FdirTable::remove_tuple(const FiveTuple& tuple) {
+std::size_t FdirTable::remove_tuple(const FiveTuple& tuple,
+                                   std::optional<FdirAction> action) {
   if (size_ == 0) return 0;
   std::size_t removed = 0;
   for (std::uint32_t i = buckets_[bucket_of(tuple)]; i != kNil;) {
     const std::uint32_t next = slab_[i].next;
-    if (slab_[i].filter.tuple == tuple) {
+    const FdirFilter& f = slab_[i].filter;
+    if (f.tuple == tuple && (!action || f.action == *action)) {
       release(i);
       ++removed;
     }

@@ -74,8 +74,10 @@ class FdirTable {
   /// Remove by id; returns false if unknown or already removed.
   bool remove(std::uint64_t id);
 
-  /// Remove all filters for a tuple (both flex variants); returns count.
-  std::size_t remove_tuple(const FiveTuple& tuple);
+  /// Remove all filters for a tuple (both flex variants), or only those
+  /// with `action`; returns count.
+  std::size_t remove_tuple(const FiveTuple& tuple,
+                           std::optional<FdirAction> action = std::nullopt);
 
   /// Earliest-installed filter matching this packet, or nullptr.
   SCAP_HOT const FdirFilter* match(const Packet& pkt) const;

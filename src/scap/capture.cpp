@@ -273,7 +273,7 @@ void Capture::start() {
     // Event drain on the shard's consumer, which serializes the kernel
     // (batch lock); re-assert that for the analysis.
     base::SerialGuard serial(k.serial());
-    auto& q = k.events(0);
+    auto& q = k.events();
     while (!q.empty()) {
       kernel::Event ev = q.pop();
       dispatch_event_on(k, ev);

@@ -92,9 +92,6 @@ struct CostTable {
   // --- machine ------------------------------------------------------------
   /// Simulated core frequency (paper's sensor: 2.00 GHz Xeon).
   double core_hz = 2.0e9;
-
-  /// Cores available for softirq spreading (paper's sensor: 2x quad-core).
-  int num_cores = 8;
 };
 
 /// The one table used across experiments. Benches may copy and perturb it

@@ -11,74 +11,6 @@
 namespace scap {
 namespace {
 
-TEST(Ring, PushPopFifoOrder) {
-  Ring<int> r(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(r.push(i));
-  for (int i = 0; i < 4; ++i) {
-    auto v = r.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(r.pop().has_value());
-}
-
-TEST(Ring, DropsWhenFull) {
-  Ring<int> r(2);
-  EXPECT_TRUE(r.push(1));
-  EXPECT_TRUE(r.push(2));
-  EXPECT_FALSE(r.push(3));
-  EXPECT_EQ(r.drops(), 1u);
-  EXPECT_EQ(r.size(), 2u);
-}
-
-TEST(Ring, WrapsAround) {
-  Ring<int> r(3);
-  for (int round = 0; round < 10; ++round) {
-    EXPECT_TRUE(r.push(round));
-    auto v = r.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, round);
-  }
-  EXPECT_EQ(r.drops(), 0u);
-}
-
-TEST(Ring, HighWaterTracksPeak) {
-  Ring<int> r(8);
-  r.push(1);
-  r.push(2);
-  r.push(3);
-  r.pop();
-  r.pop();
-  EXPECT_EQ(r.high_water(), 3u);
-}
-
-TEST(Ring, MoveOnlyTypes) {
-  Ring<std::unique_ptr<int>> r(2);
-  EXPECT_TRUE(r.push(std::make_unique<int>(42)));
-  auto v = r.pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(**v, 42);
-}
-
-TEST(Ring, ZeroCapacityClampedToOne) {
-  Ring<int> r(0);
-  EXPECT_EQ(r.capacity(), 1u);
-  EXPECT_TRUE(r.push(1));
-  EXPECT_FALSE(r.push(2));
-}
-
-TEST(Ring, ClearEmptiesButKeepsCounters) {
-  Ring<int> r(2);
-  r.push(1);
-  r.push(2);
-  r.push(3);  // drop
-  r.clear();
-  EXPECT_TRUE(r.empty());
-  EXPECT_EQ(r.drops(), 1u);
-  r.reset_counters();
-  EXPECT_EQ(r.drops(), 0u);
-}
-
 TEST(SpscRing, FifoOrderSingleThread) {
   SpscRing<int> r(8);
   base::SerialGuard prod(r.producer());

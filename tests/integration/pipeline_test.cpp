@@ -48,7 +48,7 @@ TEST(PipelineIntegration, ByteExactDeliveryPerStream) {
   kernel::ScapKernel k(cfg);
   std::map<std::string, std::string> delivered;
   auto drain = [&] {
-    auto& q = k.events(0);
+    auto& q = k.events();
     while (!q.empty()) {
       kernel::Event ev = q.pop();
       if (ev.type == kernel::EventType::kData) {
@@ -61,7 +61,7 @@ TEST(PipelineIntegration, ByteExactDeliveryPerStream) {
     }
   };
   for (const auto& pkt : trace.packets) {
-    k.handle_packet(pkt, pkt.timestamp(), 0);
+    k.handle_packet(pkt, pkt.timestamp());
     drain();
   }
   k.terminate_all(trace.packets.back().timestamp());
@@ -175,6 +175,50 @@ TEST(PipelineIntegration, DropsIncreaseMonotonicallyWithRate) {
     EXPECT_GE(r.drop_pct(), prev) << "rate " << rate;
     prev = r.drop_pct();
   }
+}
+
+TEST(PipelineIntegration, MultiCoreRunIsPinned) {
+  // Four simulated cores over one kernel: streams are evicted and expire
+  // on cores other than the one whose packet triggers it, and PPL drops,
+  // so every core's event order and release times reach the result. The
+  // values are this run's output when each core had its own kernel queue.
+  const flowgen::Trace trace = patterned_trace(300, 41);
+  const match::AhoCorasick ac(match::make_corpus({.pattern_count = 64}));
+  ScapRunOptions opt;
+  opt.softirq_cores = 4;
+  opt.worker_threads = 2;
+  opt.enable_cache_model = true;
+  opt.automaton = &ac;
+  opt.kernel.memory_size = 1000000;
+  opt.kernel.ppl.base_threshold = 0.5;
+  opt.kernel.max_streams = 16;
+  opt.kernel.defaults.inactivity_timeout = Duration::from_msec(10);
+  opt.kernel.expiry_interval = Duration::from_msec(2);
+  ScapPipeline pipe(opt);
+  flowgen::Replayer(trace, 2.0, 1).for_each(
+      [&](const Packet& pkt) { pipe.offer(pkt); });
+  const RunResult r = pipe.finish();
+
+  const kernel::KernelStats& ks = pipe.kernel().stats();
+  EXPECT_EQ(ks.streams_evicted, 12u);
+  EXPECT_EQ(ks.pkts_ppl_dropped, 37u);
+  EXPECT_EQ(r.pkts_offered, 11321u);
+  EXPECT_EQ(r.pkts_dropped, 1670u);
+  EXPECT_EQ(r.pkts_nic_filtered, 0u);
+  EXPECT_EQ(r.bytes_offered, 9962389u);
+  EXPECT_DOUBLE_EQ(r.duration_sec, 0.039849556000000001);
+  EXPECT_DOUBLE_EQ(r.cpu_user_pct, 69.781246245252703);
+  EXPECT_DOUBLE_EQ(r.softirq_pct, 16.786815642312302);
+  EXPECT_EQ(r.matches, 85u);
+  EXPECT_EQ(r.streams_tracked, 590u);
+  EXPECT_EQ(r.streams_with_data, 446u);
+  EXPECT_EQ(r.streams_rebalanced, 0u);
+  EXPECT_EQ(r.prio_pkts[0], 11321u);
+  EXPECT_EQ(r.prio_pkts[1], 0u);
+  EXPECT_EQ(r.prio_dropped[0], 1670u);
+  EXPECT_EQ(r.prio_dropped[1], 0u);
+  EXPECT_EQ(r.l2_misses, 118066u);
+  EXPECT_DOUBLE_EQ(r.l2_misses_per_pkt, 10.428937373023585);
 }
 
 TEST(PipelineIntegration, ImpairedTraceStillByteExactInStrictMode) {

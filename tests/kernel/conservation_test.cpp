@@ -43,7 +43,7 @@ KernelConfig hostile_config() {
 }
 
 void drain(ScapKernel& k) {
-  auto& q = k.events(0);
+  auto& q = k.events();
   while (!q.empty()) {
     Event ev = q.pop();
     k.release_chunk(ev);

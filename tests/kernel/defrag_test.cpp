@@ -190,7 +190,7 @@ TEST(Defrag, KernelEndToEndWithFragmentedDatagram) {
   EXPECT_EQ(out.verdict, Verdict::kStored);
   k.terminate_all(Timestamp(1));
   std::string delivered;
-  auto& q = k.events(0);
+  auto& q = k.events();
   while (!q.empty()) {
     auto ev = q.pop();
     if (ev.type == EventType::kData) {

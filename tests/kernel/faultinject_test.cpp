@@ -32,8 +32,8 @@ KernelConfig small_config() {
 }
 
 /// Drain all events so chunk accounting is released.
-void drain(ScapKernel& k, int core = 0) {
-  auto& q = k.events(core);
+void drain(ScapKernel& k) {
+  auto& q = k.events();
   while (!q.empty()) k.release_chunk(q.pop());
 }
 

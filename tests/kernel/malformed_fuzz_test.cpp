@@ -34,7 +34,7 @@ KernelConfig hostile_config() {
 }
 
 void drain(ScapKernel& k) {
-  auto& q = k.events(0);
+  auto& q = k.events();
   while (!q.empty()) k.release_chunk(q.pop());
 }
 

@@ -43,7 +43,7 @@ TEST_P(MemoryInvariant, AllChunkMemoryReturnedEventually) {
   int keep_budget = 5;
 
   auto drain_some = [&] {
-    auto& q = k.events(0);
+    auto& q = k.events();
     while (!q.empty()) {
       Event ev = q.pop();
       if (ev.type == EventType::kData && keep_budget > 0 &&
@@ -103,7 +103,7 @@ TEST_P(MemoryInvariant, AllChunkMemoryReturnedEventually) {
   for (auto& ev : undrained) k.release_chunk(ev);
   undrained.clear();
   // Drain anything the final terminations emitted.
-  auto& q = k.events(0);
+  auto& q = k.events();
   while (!q.empty()) {
     Event ev = q.pop();
     k.release_chunk(ev);

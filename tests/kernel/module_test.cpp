@@ -21,11 +21,11 @@ KernelConfig small_config() {
   return cfg;
 }
 
-/// Drains every event from a kernel core queue, releasing chunk memory.
+/// Drains every event from the kernel's queue, releasing chunk memory.
 /// Release empties an event's chunk, so the copy is taken first.
-std::vector<Event> drain(ScapKernel& k, int core = 0) {
+std::vector<Event> drain(ScapKernel& k) {
   std::vector<Event> events;
-  auto& q = k.events(core);
+  auto& q = k.events();
   while (!q.empty()) {
     Event ev = q.pop();
     events.push_back(ev);
@@ -693,7 +693,7 @@ Event deliver_one_chunk(ScapKernel& k) {
   k.handle_packet(s.syn(t), t);
   k.handle_packet(s.syn_ack(t), t);
   k.handle_packet(s.data(std::string(100, 'x'), t), t);
-  auto& q = k.events(0);
+  auto& q = k.events();
   while (!q.empty()) {
     Event ev = q.pop();
     if (ev.type == EventType::kData) return ev;

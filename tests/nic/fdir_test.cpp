@@ -66,6 +66,30 @@ TEST(FdirTable, RemoveTupleClearsBothCutoffFilters) {
   EXPECT_EQ(table.size(), 0u);
 }
 
+TEST(FdirTable, RemoveTupleWithActionLeavesOtherFilters) {
+  FdirTable table;
+  for (const auto& f : make_cutoff_filters(tuple(), Timestamp::from_sec(10))) {
+    table.add(f);
+  }
+  FdirFilter steer;
+  steer.tuple = tuple();
+  steer.action = FdirAction::kToQueue;
+  steer.queue = 3;
+  steer.expires = Timestamp::from_sec(10);
+  table.add(steer);
+  ASSERT_EQ(table.size(), 3u);
+
+  EXPECT_EQ(table.remove_tuple(tuple().reversed(), FdirAction::kDrop), 0u);
+  EXPECT_EQ(table.remove_tuple(tuple(), FdirAction::kDrop), 2u);
+  EXPECT_EQ(table.size(), 1u);
+  const FdirFilter* left = table.match(tcp_packet(kTcpAck));
+  ASSERT_NE(left, nullptr);
+  EXPECT_EQ(left->action, FdirAction::kToQueue);
+  EXPECT_EQ(left->queue, 3);
+  EXPECT_EQ(table.remove_tuple(tuple(), FdirAction::kToQueue), 1u);
+  EXPECT_EQ(table.size(), 0u);
+}
+
 TEST(FdirTable, ExpireReturnsTimedOutFilters) {
   FdirTable table;
   FdirFilter a;

@@ -73,7 +73,7 @@ TEST(Fragments, KernelAcceptsFragmentsWithoutCorruptingStreams) {
   // stream is disturbed.
   EXPECT_NE(out.verdict, kernel::Verdict::kInvalid);
   k.terminate_all(Timestamp(1));
-  auto& q = k.events(0);
+  auto& q = k.events();
   while (!q.empty()) {
     auto ev = q.pop();
     k.release_chunk(ev);

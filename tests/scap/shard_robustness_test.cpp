@@ -318,7 +318,6 @@ TEST(ShardFdir, AppliedCountsMatchHardwareOutcomes) {
     FdirCommand remove;
     remove.kind = FdirCommand::Kind::kRemove;
     remove.tuple = a;
-    remove.also_reversed = true;
     ASSERT_TRUE(shards.kernel(0).fdir_outbox()->try_push(remove));
     shards.service_fdir(nic, t0 + Duration::from_sec(1));
     EXPECT_EQ(shards.stats().fdir_removals, 2u);

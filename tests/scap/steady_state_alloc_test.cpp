@@ -142,7 +142,7 @@ TEST(SteadyStateAlloc, CutoffDiscardIsAllocFree) {
   cfg.defaults.cutoff_bytes = 64;
   ScapKernel k(cfg);
   auto drain = [&k] {
-    while (!k.events(0).empty()) k.release_chunk(k.events(0).pop());
+    while (!k.events().empty()) k.release_chunk(k.events().pop());
   };
 
   std::vector<std::uint8_t> payload(512, 0xab);
@@ -217,7 +217,7 @@ void expect_chunk_delivery_alloc_free(bool need_pkts) {
   std::uint64_t chunks = 0;
   std::uint64_t bytes = 0;
   auto drain = [&] {
-    auto& q = k.events(0);
+    auto& q = k.events();
     while (!q.empty()) {
       Event ev = q.pop();
       if (ev.type == EventType::kData) {
