@@ -47,7 +47,14 @@ std::uint64_t get64(const std::uint8_t* p) {
 std::vector<std::uint8_t> IpfixWriter::encode(
     std::span<const FlowRecord> records, Timestamp export_time,
     bool force_template) {
+  const bool with_template = !template_sent_ || force_template;
+  // The whole message is one allocation: header, optional template set,
+  // data set header, then the records.
+  constexpr std::size_t kTemplateSetLen =
+      4 + 4 + 4 * (sizeof(kFields) / sizeof(kFields[0]));
   std::vector<std::uint8_t> out;
+  out.reserve(16 + (with_template ? kTemplateSetLen : 0) +
+              (records.empty() ? 0 : 4 + kRecordLen * records.size()));
   // Message header (length patched at the end).
   put16(out, kIpfixVersion);
   put16(out, 0);  // length placeholder
@@ -55,12 +62,10 @@ std::vector<std::uint8_t> IpfixWriter::encode(
   put32(out, sequence_);
   put32(out, domain_);
 
-  if (!template_sent_ || force_template) {
+  if (with_template) {
     // Template set: header + one template record.
-    const std::uint16_t set_len = static_cast<std::uint16_t>(
-        4 + 4 + 4 * (sizeof(kFields) / sizeof(kFields[0])));
     put16(out, kTemplateSetId);
-    put16(out, set_len);
+    put16(out, static_cast<std::uint16_t>(kTemplateSetLen));
     put16(out, kFlowTemplateId);
     put16(out, static_cast<std::uint16_t>(sizeof(kFields) /
                                           sizeof(kFields[0])));

@@ -1,6 +1,7 @@
 #include "kernel/defrag.hpp"
 
 #include <cstring>
+#include <span>
 
 #include "base/bytes.hpp"
 #include "packet/checksum.hpp"
@@ -29,28 +30,29 @@ std::optional<Packet> IpDefragmenter::try_complete(const Key& key,
     }
     return std::nullopt;
   }
-  run->resize(*dg.total_len);  // clip any overshoot from overlapping tails
+  // Clip any overshoot from overlapping tails.
+  const std::span<const std::uint8_t> payload(run->data(), *dg.total_len);
   const std::uint64_t freed = before - dg.store.buffered_bytes();
   buffered_bytes_ -= std::min<std::uint64_t>(buffered_bytes_, freed);
 
   // Rebuild an unfragmented frame: Ethernet + original IP header (flags and
   // offset cleared, total_len fixed up) + reassembled payload.
   const std::size_t ip_hlen = dg.ip_header.size();
-  std::vector<std::uint8_t> frame(kEthHeaderLen + ip_hlen + run->size());
+  std::vector<std::uint8_t> frame(kEthHeaderLen + ip_hlen + payload.size());
   EthHeader eth{};
   eth.ether_type = kEtherTypeIpv4;
   write_eth(frame, eth);
   std::memcpy(frame.data() + kEthHeaderLen, dg.ip_header.data(), ip_hlen);
   std::uint8_t* ip = frame.data() + kEthHeaderLen;
-  store_be16(ip + 2, static_cast<std::uint16_t>(ip_hlen + run->size()));
+  store_be16(ip + 2, static_cast<std::uint16_t>(ip_hlen + payload.size()));
   store_be16(ip + 6, 0);   // clear MF + fragment offset
   store_be16(ip + 10, 0);  // recompute checksum
   const std::uint16_t csum = internet_checksum(
       std::span<const std::uint8_t>(ip, ip_hlen));
   ip[10] = static_cast<std::uint8_t>(csum >> 8);
   ip[11] = static_cast<std::uint8_t>(csum & 0xff);
-  std::memcpy(frame.data() + kEthHeaderLen + ip_hlen, run->data(),
-              run->size());
+  std::memcpy(frame.data() + kEthHeaderLen + ip_hlen, payload.data(),
+              payload.size());
 
   (void)key;
   ++stats_.datagrams_completed;

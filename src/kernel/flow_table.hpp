@@ -35,8 +35,11 @@
 
 namespace scap::kernel {
 
-/// Kernel-side record for one stream direction (the paper's stream_t).
-struct StreamRecord {
+struct StreamRecord;
+
+/// Every field of a StreamRecord but its reassembler: what RecordPool
+/// value-initializes each time it hands a record slot out.
+struct StreamFields {
   StreamId id = kInvalidStreamId;
   FiveTuple tuple;
   std::uint64_t tuple_hash = 0;  // seeded hash of `tuple`, cached at create
@@ -47,7 +50,6 @@ struct StreamRecord {
   std::uint32_t error_bits = 0;
   StreamStats stats;
   StreamParams params;
-  std::unique_ptr<TcpReassembler> reasm;
 
   bool cutoff_exceeded = false;
   bool discard_requested = false;  // scap_discard_stream()
@@ -75,6 +77,14 @@ struct StreamRecord {
   // Intrusive LRU links (front = most recently touched).
   StreamRecord* lru_prev = nullptr;
   StreamRecord* lru_next = nullptr;
+};
+
+/// Kernel-side record for one stream direction (the paper's stream_t).
+struct StreamRecord : StreamFields {
+  /// Lives in the record slab with the rest of the record and outlives
+  /// each stream in the slot: the kernel resets it in place for every new
+  /// stream (lookup_or_create), keeping its grown buffers.
+  TcpReassembler reasm;
 };
 
 /// Snapshot of RecordPool occupancy (mirrored into KernelStats).

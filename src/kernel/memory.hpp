@@ -11,7 +11,11 @@
 //     from 2 KiB up, plus one list of packet-record vectors (need_pkts).
 //     A chunk takes a buffer when it starts and climbs to the next class
 //     up when it outgrows its own; release hands the buffer back empty
-//     with its capacity kept, so steady-state delivery allocates nothing.
+//     with its capacity kept, so steady-state delivery allocates nothing;
+//   - the hand-off vector through which every reassembler bound to it
+//     returns completed chunks. One per kernel rather than one per record
+//     slot, so a stream's first chunk on a never-used slot allocates
+//     nothing once any stream has completed one.
 //
 // Classes climb for every chunk instead of handing out chunk_size blocks
 // because most chunks are flushed small: fixed blocks cost +50 % RSS on
@@ -44,6 +48,23 @@
 #endif
 
 namespace scap::kernel {
+
+/// A contiguous piece of reassembled stream data, ready for delivery.
+struct Chunk {
+  std::vector<std::uint8_t> data;
+  /// Stream offset of data[0] — including any overlap prefix repeated from
+  /// the previous chunk.
+  std::uint64_t stream_offset = 0;
+  /// Leading bytes repeated from the previous chunk (pattern continuity).
+  std::uint32_t overlap_len = 0;
+  /// StreamError bits raised while assembling this chunk.
+  std::uint32_t errors = 0;
+  /// Arrival time of the first segment that contributed new bytes — the
+  /// start of the chunk-latency interval the tracer measures (DESIGN.md
+  /// §10); delivery time minus first_ts is the paper's per-chunk latency.
+  Timestamp first_ts;
+  std::vector<PacketRecord> packets;
+};
 
 class ChunkAllocator {
  public:
@@ -99,6 +120,12 @@ class ChunkAllocator {
   /// Buffers (bytes and record vectors) currently on the free lists.
   std::size_t free_buffers() const;
 
+  /// Completed chunks on their way out of the ChunkBuilder that made them
+  /// (ChunkBuilder::handoff). Each reassembler call clears it first, so
+  /// what one call completed is valid until the next call on any
+  /// reassembler bound to this allocator.
+  std::vector<Chunk>& handoff() { return handoff_; }
+
  private:
   std::uint64_t capacity_;
   std::uint64_t used_ = 0;
@@ -107,6 +134,7 @@ class ChunkAllocator {
   std::uint64_t high_water_ = 0;
   std::array<std::vector<Bytes>, kNumClasses> free_bytes_;
   std::vector<Records> free_records_;
+  std::vector<Chunk> handoff_;
 };
 
 }  // namespace scap::kernel

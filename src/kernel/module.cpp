@@ -307,7 +307,7 @@ FdirApplied apply_fdir_commands(FdirCommandQueue& outbox, nic::Nic& nic,
 }
 
 std::size_t expire_fdir_filters(nic::Nic& nic, Timestamp now) {
-  const std::size_t expired = nic.fdir().expire(now).size();
+  const std::size_t expired = nic.fdir().expire(now);
   for (std::size_t i = 0; i < expired; ++i) {
     SCAP_TRACE_EVENT(nic.tracer(), trace::TraceEventType::kFdirEvict, 0, now,
                      0, 1);
@@ -464,8 +464,7 @@ void ScapKernel::release_block(StreamRecord& rec) {
 }
 
 void ScapKernel::flush_chunks(StreamRecord& rec, std::uint32_t error_bits) {
-  if (!rec.reasm) return;
-  auto chunks = rec.reasm->flush(error_bits);
+  auto chunks = rec.reasm.flush(error_bits);
   bool first = true;
   for (auto& c : chunks) {
     emit_data(rec, std::move(c), first);
@@ -579,16 +578,10 @@ StreamRecord* ScapKernel::lookup_or_create(const Packet& pkt, Timestamp now,
   }
 
   resolve_params(*rec);
-  // Pool-recycled records arrive with their previous reassembler attached;
-  // reset it in place instead of paying a heap round trip.
-  if (rec->reasm) {
-    rec->reasm->reset(rec->params, config_.need_pkts);
-  } else {
-    // scap-lint: allow(hot-alloc) one reassembler per record slot, first use only — recycled records reset in place (DESIGN.md §14 inventory)
-    rec->reasm = std::make_unique<TcpReassembler>(
-        rec->params, config_.need_pkts, TcpReassembler::kDefaultMaxOooBytes,
-        &allocator_);
-  }
+  // The reassembler lives in the record slot: reset it in place (a
+  // recycled slot keeps its grown buffers) and bind the chunk allocator.
+  rec->reasm.reset(rec->params, config_.need_pkts,
+                   TcpReassembler::kDefaultMaxOooBytes, &allocator_);
   // scap-lint: allow(hot-alloc) flush-watch set grows only for streams configured with flush timeouts (DESIGN.md §14 inventory)
   if (rec->params.flush_timeout > Duration(0)) flush_watch_.insert(rec->id);
 
@@ -613,9 +606,9 @@ void ScapKernel::handle_payload(StreamRecord& rec, const Packet& pkt,
 
   // A pending flush deadline fires before the new bytes are appended — the
   // asynchronous timer would have delivered the partial chunk already.
-  if (rec.params.flush_timeout > Duration(0) && rec.reasm &&
+  if (rec.params.flush_timeout > Duration(0) &&
       now - rec.last_flush >= rec.params.flush_timeout &&
-      rec.reasm->builder().has_data()) {
+      rec.reasm.builder().has_data()) {
     flush_chunks(rec, 0);
     rec.last_flush = now;
   }
@@ -639,9 +632,9 @@ void ScapKernel::handle_payload(StreamRecord& rec, const Packet& pkt,
   // Stream offset of this payload (cutoff & PPL decisions).
   std::uint64_t off = 0;
   if (pkt.is_tcp()) {
-    off = rec.reasm->offset_of(pkt.seq()).value_or(0);
+    off = rec.reasm.offset_of(pkt.seq()).value_or(0);
   } else {
-    off = rec.reasm->stream_offset();
+    off = rec.reasm.stream_offset();
   }
 
   // Cutoff enforcement (paper §2.1).
@@ -694,8 +687,8 @@ void ScapKernel::handle_payload(StreamRecord& rec, const Packet& pkt,
   meta.wire_payload = pkt.wire_payload_len();
 
   TcpReassembler::Result result =
-      pkt.is_tcp() ? rec.reasm->on_data(pkt.seq(), payload, meta)
-                   : rec.reasm->on_datagram(payload, meta);
+      pkt.is_tcp() ? rec.reasm.on_data(pkt.seq(), payload, meta)
+                   : rec.reasm.on_datagram(payload, meta);
 
   rec.error_bits |= result.errors;
   if (result.alloc_failed) {
@@ -736,13 +729,13 @@ void ScapKernel::handle_payload(StreamRecord& rec, const Packet& pkt,
     emit_data(rec, std::move(chunk), first);
     first = false;
   }
-  if (!result.completed.empty() && rec.reasm->builder().has_data()) {
+  if (!result.completed.empty() && rec.reasm.builder().has_data()) {
     ensure_block(rec);
   }
 
   // Cutoff reached exactly with this packet's bytes.
   if (cutoff >= 0 &&
-      rec.reasm->stream_offset() >= static_cast<std::uint64_t>(cutoff)) {
+      rec.reasm.stream_offset() >= static_cast<std::uint64_t>(cutoff)) {
     trigger_cutoff(rec, now, outcome);
   }
 
@@ -867,7 +860,7 @@ PacketOutcome ScapKernel::handle_decoded(const Packet& pkt, Timestamp now,
   if (pkt.is_tcp()) {
     // Handshake tracking.
     if (pkt.has_flag(kTcpSyn)) {
-      rec->reasm->on_syn(pkt.seq());
+      rec->reasm.on_syn(pkt.seq());
       rec->handshake = pkt.has_flag(kTcpAck) ? HandshakeState::kSynAckSeen
                                              : HandshakeState::kSynSeen;
       rec->stats.pkts++;
@@ -908,7 +901,7 @@ PacketOutcome ScapKernel::handle_decoded(const Packet& pkt, Timestamp now,
       // Flow statistics for NIC-offloaded streams: the FIN/RST sequence
       // number reveals how many bytes the NIC dropped (paper §5.5).
       if (rec->cutoff_exceeded) {
-        if (auto total = rec->reasm->offset_of(pkt.seq())) {
+        if (auto total = rec->reasm.offset_of(pkt.seq())) {
           rec->stats.bytes = std::max(rec->stats.bytes, *total);
         }
       }
@@ -931,7 +924,7 @@ PacketOutcome ScapKernel::handle_decoded(const Packet& pkt, Timestamp now,
     if (rec->params.mode == ReassemblyMode::kNone || !pkt.is_udp()) {
       // Packet-oriented delivery: every packet becomes its own chunk.
       handle_payload(*rec, pkt, now, outcome);
-      if (rec->reasm->builder().has_data()) flush_chunks(*rec, 0);
+      if (rec->reasm.builder().has_data()) flush_chunks(*rec, 0);
     } else {
       handle_payload(*rec, pkt, now, outcome);
     }
@@ -979,20 +972,19 @@ void ScapKernel::run_maintenance(Timestamp now) {
   }
 
   // Flush timeouts for streams that asked for timely delivery.
-  if (!flush_watch_.empty()) {
-    std::vector<StreamId> ids(flush_watch_.begin(), flush_watch_.end());
-    for (StreamId id : ids) {
-      StreamRecord* rec = table_.by_id(id);
-      if (rec == nullptr) {
-        flush_watch_.erase(id);
-        continue;
-      }
-      if (now - rec->last_flush >= rec->params.flush_timeout &&
-          rec->reasm->builder().has_data()) {
-        flush_chunks(*rec, 0);
-        rec->last_flush = now;
-      }
+  // In place: flush_chunks only emits events, it never touches the set.
+  for (auto it = flush_watch_.begin(); it != flush_watch_.end();) {
+    StreamRecord* rec = table_.by_id(*it);
+    if (rec == nullptr) {
+      it = flush_watch_.erase(it);
+      continue;
     }
+    if (now - rec->last_flush >= rec->params.flush_timeout &&
+        rec->reasm.builder().has_data()) {
+      flush_chunks(*rec, 0);
+      rec->last_flush = now;
+    }
+    ++it;
   }
 
   // Every maintenance tick re-proves the accounting laws (fatal in
@@ -1026,8 +1018,8 @@ bool ScapKernel::set_stream_priority(StreamId id, int priority) {
 bool ScapKernel::keep_stream_chunk(StreamId id, Chunk&& chunk,
                                    std::uint32_t alloc) {
   StreamRecord* rec = table_.by_id(id);
-  if (rec == nullptr || !rec->reasm) return false;
-  rec->reasm->builder().retain(std::move(chunk));
+  if (rec == nullptr) return false;
+  rec->reasm.builder().retain(std::move(chunk));
   rec->kept_alloc += alloc;
   return true;
 }

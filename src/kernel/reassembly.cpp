@@ -15,16 +15,18 @@ ChunkBuilder::ChunkBuilder(std::uint32_t chunk_size, std::uint32_t overlap_size,
       buffers_(buffers) {}
 
 void ChunkBuilder::reset(std::uint32_t chunk_size, std::uint32_t overlap_size,
-                         bool record_packets) {
+                         bool record_packets, ChunkAllocator* buffers) {
   chunk_size_ = chunk_size ? chunk_size : 1;
   overlap_size_ = overlap_size;
   record_packets_ = record_packets;
+  // Buffers go back to the allocator they came from before rebinding.
   drop(current_);
   current_started_ = false;
   pending_errors_ = 0;
   if (retained_) drop(*retained_);
   retained_.reset();
   completed_.clear();
+  buffers_ = buffers;
 }
 
 void ChunkBuilder::drop(Chunk& chunk) {
@@ -88,16 +90,16 @@ void ChunkBuilder::start_next(const Chunk& completed) {
 }
 
 void ChunkBuilder::complete(Chunk&& done) {
-  // scap-lint: allow(hot-alloc) completed-chunk hand-off vector: keeps its capacity across calls, so it grows only until it fits the most chunks one call completes
-  completed_.push_back(std::move(done));
+  // scap-lint: allow(hot-alloc) completed-chunk hand-off vector: one per ChunkAllocator (kernel), keeping its capacity across calls, so it grows only until it fits the most chunks one call completes
+  handoff().push_back(std::move(done));
 }
 
 std::span<Chunk> ChunkBuilder::append(std::span<const std::uint8_t> data,
                                       const SegmentMeta& meta,
                                       std::uint64_t stream_off) {
-  completed_.clear();
+  handoff().clear();
   fill(data, meta, stream_off);
-  return completed_;
+  return handoff();
 }
 
 void ChunkBuilder::fill(std::span<const std::uint8_t> data,
@@ -174,11 +176,13 @@ TcpReassembler::TcpReassembler(const StreamParams& params, bool record_packets,
                buffers) {}
 
 void TcpReassembler::reset(const StreamParams& params, bool record_packets,
-                           std::uint64_t max_ooo_bytes) {
+                           std::uint64_t max_ooo_bytes,
+                           ChunkAllocator* buffers) {
   mode_ = params.mode;
   policy_ = params.policy;
   max_ooo_bytes_ = max_ooo_bytes;
-  builder_.reset(params.chunk_size, params.overlap_size, record_packets);
+  builder_.reset(params.chunk_size, params.overlap_size, record_packets,
+                 buffers);
   ooo_.clear();
   have_base_ = false;
   base_raw_ = 0;
@@ -205,7 +209,7 @@ void TcpReassembler::deliver(std::span<const std::uint8_t> data,
   builder_.fill(data, meta, next_off_);
   result.accepted_bytes += data.size();
   next_off_ += data.size();
-  result.completed = builder_.completed_;
+  result.completed = builder_.handoff();
 }
 
 void TcpReassembler::drain_ooo(const SegmentMeta& meta, Result& result) {
@@ -213,7 +217,7 @@ void TcpReassembler::drain_ooo(const SegmentMeta& meta, Result& result) {
     builder_.fill(*run, meta, next_off_);
     next_off_ += run->size();
   }
-  result.completed = builder_.completed_;
+  result.completed = builder_.handoff();
 }
 
 void TcpReassembler::force_deliver_ooo(const SegmentMeta& meta,
@@ -236,14 +240,14 @@ void TcpReassembler::force_deliver_ooo(const SegmentMeta& meta,
     builder_.fill(bytes, meta, next_off_);
     next_off_ += bytes.size();
   }
-  result.completed = builder_.completed_;
+  result.completed = builder_.handoff();
 }
 
 TcpReassembler::Result TcpReassembler::on_data(
     std::uint32_t seq, std::span<const std::uint8_t> payload,
     const SegmentMeta& meta) {
   Result result;
-  builder_.completed_.clear();
+  builder_.handoff().clear();
   if (payload.empty()) return result;
 
   if (!have_base_) {
@@ -326,7 +330,7 @@ TcpReassembler::Result TcpReassembler::on_data(
 TcpReassembler::Result TcpReassembler::on_datagram(
     std::span<const std::uint8_t> payload, const SegmentMeta& meta) {
   Result result;
-  builder_.completed_.clear();
+  builder_.handoff().clear();
   if (payload.empty()) return result;
   if (!have_base_) have_base_ = true;
   deliver(payload, meta, result);
@@ -334,7 +338,7 @@ TcpReassembler::Result TcpReassembler::on_datagram(
 }
 
 std::span<Chunk> TcpReassembler::flush(std::uint32_t error_bits) {
-  builder_.completed_.clear();
+  builder_.handoff().clear();
   if (mode_ == ReassemblyMode::kTcpStrict && !ooo_.empty()) {
     // Deliver whatever is buffered, flagging holes.
     SegmentMeta meta{};
@@ -355,7 +359,7 @@ std::span<Chunk> TcpReassembler::flush(std::uint32_t error_bits) {
   }
   if (error_bits) builder_.flag_error(error_bits);
   if (auto last = builder_.flush()) builder_.complete(std::move(*last));
-  return builder_.completed_;
+  return builder_.handoff();
 }
 
 }  // namespace scap::kernel

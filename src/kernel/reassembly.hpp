@@ -28,23 +28,6 @@
 
 namespace scap::kernel {
 
-/// A contiguous piece of reassembled stream data, ready for delivery.
-struct Chunk {
-  std::vector<std::uint8_t> data;
-  /// Stream offset of data[0] — including any overlap prefix repeated from
-  /// the previous chunk.
-  std::uint64_t stream_offset = 0;
-  /// Leading bytes repeated from the previous chunk (pattern continuity).
-  std::uint32_t overlap_len = 0;
-  /// StreamError bits raised while assembling this chunk.
-  std::uint32_t errors = 0;
-  /// Arrival time of the first segment that contributed new bytes — the
-  /// start of the chunk-latency interval the tracer measures (DESIGN.md
-  /// §10); delivery time minus first_ts is the paper's per-chunk latency.
-  Timestamp first_ts;
-  std::vector<PacketRecord> packets;
-};
-
 /// Per-packet metadata threaded through to PacketRecords.
 struct SegmentMeta {
   Timestamp ts;
@@ -58,18 +41,20 @@ struct SegmentMeta {
 /// With a ChunkAllocator the chunk buffers come from its size-class free
 /// lists and every buffer the builder drops goes back to them; without one
 /// (standalone reassemblers) they come from and return to the heap.
-/// Completed chunks are handed off through one hand-off vector whose
-/// capacity persists: the returned spans stay valid until the next
-/// append() or flush() on this builder (or call on its reassembler).
+/// Completed chunks are handed off through a hand-off vector whose
+/// capacity persists: the allocator's, shared by every builder bound to
+/// it, or the builder's own when it has none. The returned spans stay
+/// valid until the next append() or flush() on a builder sharing that
+/// vector (or call on its reassembler).
 class ChunkBuilder {
  public:
   ChunkBuilder(std::uint32_t chunk_size, std::uint32_t overlap_size,
                bool record_packets, ChunkAllocator* buffers = nullptr);
 
   /// Reconfigure for a fresh stream (record-pool recycling), dropping all
-  /// buffered state.
+  /// buffered state, and bind to `buffers`.
   void reset(std::uint32_t chunk_size, std::uint32_t overlap_size,
-             bool record_packets);
+             bool record_packets, ChunkAllocator* buffers);
 
   /// Append delivered bytes; returns the chunks that filled up.
   std::span<Chunk> append(std::span<const std::uint8_t> data,
@@ -101,6 +86,10 @@ class ChunkBuilder {
   /// reassembler collects one segment's chunks across several fills.
   void fill(std::span<const std::uint8_t> data, const SegmentMeta& meta,
             std::uint64_t stream_off);
+  /// The hand-off vector: the allocator's when bound to one, else own.
+  std::vector<Chunk>& handoff() {
+    return buffers_ != nullptr ? buffers_->handoff() : completed_;
+  }
   /// Hand a finished chunk off through the hand-off vector.
   void complete(Chunk&& done);
   Chunk take_current();
@@ -119,7 +108,7 @@ class ChunkBuilder {
   bool current_started_ = false;
   std::uint32_t pending_errors_ = 0;
   std::optional<Chunk> retained_;
-  std::vector<Chunk> completed_;
+  std::vector<Chunk> completed_;  // hand-off vector while unbound
 };
 
 /// One direction of a TCP (or UDP) stream.
@@ -132,16 +121,21 @@ class TcpReassembler {
   TcpReassembler(const StreamParams& params, bool record_packets,
                  std::uint64_t max_ooo_bytes = kDefaultMaxOooBytes,
                  ChunkAllocator* buffers = nullptr);
+  /// Default stream parameters, no allocator: the state a record slot's
+  /// reassembler holds before its first stream resets it.
+  TcpReassembler() : TcpReassembler(StreamParams{}, false) {}
 
   /// Reinitialize for a fresh stream (record-pool recycling): equivalent to
-  /// destroying and reconstructing, but reuses grown internal buffers so
-  /// steady-state stream churn allocates nothing.
+  /// destroying and reconstructing with the same arguments, but reuses
+  /// grown internal buffers so steady-state stream churn allocates nothing.
   void reset(const StreamParams& params, bool record_packets,
-             std::uint64_t max_ooo_bytes = kDefaultMaxOooBytes);
+             std::uint64_t max_ooo_bytes = kDefaultMaxOooBytes,
+             ChunkAllocator* buffers = nullptr);
 
   struct Result {
     /// Chunks this segment completed, in the builder's hand-off vector: valid
-    /// until the next call on this reassembler.
+    /// until the next call on this reassembler, or on any other bound to
+    /// the same ChunkAllocator.
     std::span<Chunk> completed;
     std::uint64_t accepted_bytes = 0;  // written to a chunk or buffered
     std::uint64_t dup_bytes = 0;       // duplicate / overlap-losing bytes
@@ -164,8 +158,7 @@ class TcpReassembler {
   /// Flush buffered out-of-order data (strict mode) and the partial chunk.
   /// `error_bits` is OR-ed into the final chunk (e.g. at termination).
   /// May return multiple chunks when the out-of-order buffer held more than
-  /// one chunk's worth of data. Valid until the next call on this
-  /// reassembler.
+  /// one chunk's worth of data. Valid as long as Result::completed.
   std::span<Chunk> flush(std::uint32_t error_bits = 0);
 
   /// Highest stream offset delivered or skipped so far — the stream "size"

@@ -33,11 +33,11 @@ std::uint64_t FdirTable::add(const FdirFilter& filter,
   }
   if (size_ >= capacity_) {
     // Evict the filter closest to expiry.
-    if (by_timeout_.empty()) {
+    if (heap_.empty()) {
       ++add_failures_;  // capacity 0: nothing to evict, nothing to install
       return 0;
     }
-    const std::uint32_t victim = by_timeout_.begin()->second;
+    const std::uint32_t victim = heap_[0];
     if (evicted) *evicted = slab_[victim].filter;
     release(victim);
     ++evictions_;
@@ -47,12 +47,14 @@ std::uint64_t FdirTable::add(const FdirFilter& filter,
     free_head_ = slab_[slot].next;
   } else {
     slot = static_cast<std::uint32_t>(slab_.size());
+    // scap-lint: allow(hot-alloc) slab growth: amortized doubling, bounded by the table capacity and absent once the slab covers the live filters (DESIGN.md §14 inventory)
     slab_.emplace_back();
   }
   Entry& e = slab_[slot];
   e.filter = filter;
-  e.timeout_it = by_timeout_.emplace(filter.expires.ns(), slot);
+  e.install_seq = next_install_seq_++;
   e.live = true;
+  heap_push(slot);
   ++size_;
   if (size_ > buckets_.size()) grow_buckets();
   append_to_chain(slot);
@@ -70,6 +72,7 @@ void FdirTable::grow_buckets() {
   // Called as size_ first exceeds the bucket count: doubling restores
   // load <= 1.
   const std::vector<std::uint32_t> old = std::move(buckets_);
+  // scap-lint: allow(hot-alloc) bucket doubling: amortized, bounded by the table capacity, absent once the buckets cover the live filters (DESIGN.md §14 inventory)
   buckets_.assign(old.empty() ? kMinBuckets : old.size() * 2, kNil);
   // Re-link chain by chain, in chain order: filters of one tuple share an
   // old chain, so their install order carries over to the new one.
@@ -87,12 +90,67 @@ void FdirTable::release(std::uint32_t slot) {
   std::uint32_t* link = &buckets_[bucket_of(e.filter.tuple)];
   while (*link != slot) link = &slab_[*link].next;
   *link = e.next;
-  by_timeout_.erase(e.timeout_it);
+  heap_erase(e.heap_pos);
   e.live = false;
   if (++e.gen == 0) e.gen = 1;
   e.next = free_head_;
   free_head_ = slot;
   --size_;
+}
+
+bool FdirTable::expires_before(std::uint32_t a, std::uint32_t b) const {
+  const std::int64_t ea = slab_[a].filter.expires.ns();
+  const std::int64_t eb = slab_[b].filter.expires.ns();
+  if (ea != eb) return ea < eb;
+  return slab_[a].install_seq < slab_[b].install_seq;
+}
+
+void FdirTable::heap_place(std::uint32_t pos, std::uint32_t slot) {
+  heap_[pos] = slot;
+  slab_[slot].heap_pos = pos;
+}
+
+void FdirTable::heap_push(std::uint32_t slot) {
+  const auto pos = static_cast<std::uint32_t>(heap_.size());
+  // scap-lint: allow(hot-alloc) heap growth rides the amortized slab growth: the heap holds live slots only, so its capacity never exceeds the slab's
+  heap_.push_back(slot);
+  sift_up(pos);
+}
+
+void FdirTable::heap_erase(std::uint32_t pos) {
+  const std::uint32_t last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;
+  heap_place(pos, last);
+  sift_up(pos);
+  sift_down(slab_[last].heap_pos);
+}
+
+void FdirTable::sift_up(std::uint32_t pos) {
+  const std::uint32_t slot = heap_[pos];
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 2;
+    if (!expires_before(slot, heap_[parent])) break;
+    heap_place(pos, heap_[parent]);
+    pos = parent;
+  }
+  heap_place(pos, slot);
+}
+
+void FdirTable::sift_down(std::uint32_t pos) {
+  const std::uint32_t slot = heap_[pos];
+  const auto n = static_cast<std::uint32_t>(heap_.size());
+  while (true) {
+    std::uint32_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && expires_before(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!expires_before(heap_[child], slot)) break;
+    heap_place(pos, heap_[child]);
+    pos = child;
+  }
+  heap_place(pos, slot);
 }
 
 bool FdirTable::remove(std::uint64_t id) {
@@ -138,12 +196,14 @@ const FdirFilter* FdirTable::match(const Packet& pkt) const {
   return nullptr;
 }
 
-std::vector<FdirFilter> FdirTable::expire(Timestamp now) {
-  std::vector<FdirFilter> expired;
-  while (!by_timeout_.empty() && by_timeout_.begin()->first <= now.ns()) {
-    const std::uint32_t slot = by_timeout_.begin()->second;
-    expired.push_back(slab_[slot].filter);
+std::size_t FdirTable::expire(
+    Timestamp now, FunctionRef<void(const FdirFilter&)> on_expired) {
+  std::size_t expired = 0;
+  while (!heap_.empty() && slab_[heap_[0]].filter.expires.ns() <= now.ns()) {
+    const std::uint32_t slot = heap_[0];
+    if (on_expired) on_expired(slab_[slot].filter);
     release(slot);
+    ++expired;
   }
   return expired;
 }

@@ -9,9 +9,9 @@
 // memory, the "subzero copy" path — or steered to an explicit RX queue
 // (dynamic load balancing).
 //
-// The table enforces the hardware capacity, keeps filters on a timeout list
-// ordered by expiry (paper: re-installed filters get doubled timeouts so
-// long flows are evicted only a logarithmic number of times), and evicts the
+// The table enforces the hardware capacity, keeps filters in expiry order
+// (paper: re-installed filters get doubled timeouts so long flows are
+// evicted only a logarithmic number of times), and evicts the
 // soonest-to-expire filter when full.
 //
 // Layout (the FlowTable idiom): filters live in a slab with a free list; a
@@ -23,16 +23,23 @@
 // slot and generation, so removal needs no id index and a stale id is
 // recognised as such. The bucket array is allocated on the first add: an
 // empty table costs nothing to build or to match against.
+//
+// Expiry order is an indexed binary min-heap of slab slots keyed by
+// (expiry, install sequence): ties expire in install order. Each entry
+// knows its heap position, so removal by id or tuple leaves the heap in
+// O(log n). The heap never holds more slots than the slab, so once the
+// slab covers the live filters, install, expiry and eviction allocate
+// nothing.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <optional>
 #include <vector>
 
 #include "base/clock.hpp"
+#include "base/function_ref.hpp"
 #include "base/hotpath.hpp"
 #include "packet/packet.hpp"
 
@@ -82,10 +89,14 @@ class FdirTable {
   /// Earliest-installed filter matching this packet, or nullptr.
   SCAP_HOT const FdirFilter* match(const Packet& pkt) const;
 
-  /// Pop every filter whose timeout has passed. The owner decides whether
-  /// to re-install (with a doubled timeout) when the stream turns out to be
+  /// Remove every filter whose timeout has passed, soonest expiry first
+  /// (install order among equal expiries), and return how many. Each is
+  /// handed to `on_expired` just before it leaves the table; the visitor
+  /// must not add or remove filters. The owner decides whether to
+  /// re-install (with a doubled timeout) when the stream turns out to be
   /// still alive.
-  std::vector<FdirFilter> expire(Timestamp now);
+  std::size_t expire(Timestamp now,
+                     FunctionRef<void(const FdirFilter&)> on_expired = nullptr);
 
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
@@ -101,7 +112,8 @@ class FdirTable {
 
   struct Entry {
     FdirFilter filter;
-    std::multimap<std::int64_t, std::uint32_t>::iterator timeout_it;
+    std::uint64_t install_seq = 0;  // breaks expiry ties: install order
+    std::uint32_t heap_pos = kNil;  // index into heap_ while live
     std::uint32_t next = kNil;  // bucket chain while live, free list after
     std::uint32_t gen = 1;      // id generation, bumped when the slot frees
     bool live = false;
@@ -114,17 +126,27 @@ class FdirTable {
   void release(std::uint32_t slot);
   void grow_buckets();
 
+  // Expiry heap over slab slots.
+  bool expires_before(std::uint32_t a, std::uint32_t b) const;
+  void heap_place(std::uint32_t pos, std::uint32_t slot);
+  void heap_push(std::uint32_t slot);
+  void heap_erase(std::uint32_t pos);
+  void sift_up(std::uint32_t pos);
+  void sift_down(std::uint32_t pos);
+
   std::size_t capacity_;
   int num_queues_;
   std::size_t size_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t add_failures_ = 0;
+  std::uint64_t next_install_seq_ = 0;
   std::vector<Entry> slab_;
   std::uint32_t free_head_ = kNil;
   // Chain heads (slab indices), kNil when empty; empty until the first add.
   std::vector<std::uint32_t> buckets_;
-  // expiry ns -> slot, ordered so expiry and eviction scan from the front.
-  std::multimap<std::int64_t, std::uint32_t> by_timeout_;
+  // Live slots as a min-heap on (expiry, install_seq): heap_[0] is the next
+  // to expire and the eviction victim.
+  std::vector<std::uint32_t> heap_;
 };
 
 /// Frame byte offset of the TCP offset/reserved/flags halfword for a frame

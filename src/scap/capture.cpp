@@ -40,17 +40,11 @@ bool StreamView::set_parameter(Parameter p, std::int64_t value) {
       return true;
     case Parameter::kChunkSize:
       rec->params.chunk_size = static_cast<std::uint32_t>(value);
-      if (rec->reasm) {
-        rec->reasm->builder().set_chunk_size(
-            static_cast<std::uint32_t>(value));
-      }
+      rec->reasm.builder().set_chunk_size(static_cast<std::uint32_t>(value));
       return true;
     case Parameter::kOverlapSize:
       rec->params.overlap_size = static_cast<std::uint32_t>(value);
-      if (rec->reasm) {
-        rec->reasm->builder().set_overlap_size(
-            static_cast<std::uint32_t>(value));
-      }
+      rec->reasm.builder().set_overlap_size(static_cast<std::uint32_t>(value));
       return true;
     case Parameter::kFlushTimeoutMs:
       rec->params.flush_timeout = Duration::from_msec(value);

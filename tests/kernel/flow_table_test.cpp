@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "kernel/record_pool.hpp"
+
 namespace scap::kernel {
 namespace {
 
@@ -152,6 +156,37 @@ TEST(FlowTable, RemoveMiddleOfLruKeepsListIntact) {
   table.expire_idle(Timestamp::from_sec(1000), [&](StreamRecord&) { ++seen; });
   EXPECT_EQ(seen, 2);
   EXPECT_EQ(table.size(), 0u);
+}
+
+// A slot's record is built on its first acquire and keeps its reassembler
+// across reuse; recycled_total counts only acquires of slots used before.
+// Two slabs with the second partly used also exercise the destructor,
+// which must destroy exactly the built records: under ASan a missed one
+// leaks its reassembler's bytes and a never-built one crashes.
+TEST(RecordPool, BuildsSlotsOnFirstUseAndKeepsReassemblers) {
+  RecordPool pool(4);
+  std::vector<StreamRecord*> recs;
+  for (int i = 0; i < 6; ++i) recs.push_back(pool.acquire());
+  EXPECT_EQ(pool.stats().slabs, 2u);
+  EXPECT_EQ(pool.stats().recycled_total, 0u);
+  const std::vector<std::uint8_t> bytes(100, 0x7e);
+  for (StreamRecord* rec : recs) {
+    rec->reasm.reset(StreamParams{}, false);
+    rec->reasm.on_datagram(bytes, SegmentMeta{});
+    ASSERT_EQ(rec->reasm.builder().buffered_len(), 100u);
+  }
+
+  recs[5]->id = 42;
+  pool.release(recs[5]);
+  StreamRecord* again = pool.acquire();
+  EXPECT_EQ(again, recs[5]);
+  EXPECT_EQ(again->id, kInvalidStreamId);  // fields value-initialized
+  EXPECT_EQ(again->reasm.builder().buffered_len(), 100u);  // kept as is
+  EXPECT_EQ(pool.stats().recycled_total, 1u);
+
+  StreamRecord* fresh = pool.acquire();
+  EXPECT_EQ(pool.stats().recycled_total, 1u);
+  EXPECT_EQ(fresh->reasm.builder().buffered_len(), 0u);
 }
 
 }  // namespace

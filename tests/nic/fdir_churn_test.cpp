@@ -78,10 +78,15 @@ TEST(FdirChurn, ReinstallDoublingKeepsChurnLogarithmic) {
   // 1024 base-timeout intervals of virtual time, serviced every interval
   // the way the kernel's maintenance pass services the timeout list.
   const Timestamp end = Timestamp(0) + base * 1024;
+  std::vector<FdirFilter> expired;
   while (now < end) {
     now = now + base;
-    for (const FdirFilter& expired : table.expire(now)) {
-      const std::uint32_t n = stream_of_ip.at(expired.tuple.src_ip);
+    // Re-adds wait until expire() returns: its visitor must not add.
+    expired.clear();
+    table.expire(now,
+                 [&expired](const FdirFilter& f) { expired.push_back(f); });
+    for (const FdirFilter& f : expired) {
+      const std::uint32_t n = stream_of_ip.at(f.tuple.src_ip);
       ++expiries[n];
       timeout[n] = timeout[n] * 2;  // stream still alive: double and re-add
       ASSERT_NE(table.add(drop_filter(n, now + timeout[n])), 0u);

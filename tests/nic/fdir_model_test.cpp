@@ -230,8 +230,11 @@ TEST_F(FdirModelTest, MatchesNaiveScanAcrossCapacities) {
         // Mostly early, so expiry trims the table rather than clearing it.
         const Timestamp now =
             Timestamp::from_usec(static_cast<std::int64_t>(rng() % 12));
-        const std::vector<FdirFilter> got = table.expire(now);
+        std::vector<FdirFilter> got;
+        const std::size_t count = table.expire(
+            now, [&got](const FdirFilter& f) { got.push_back(f); });
         const std::vector<FdirFilter> want = model.expire(now);
+        ASSERT_EQ(count, got.size());
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t i = 0; i < got.size(); ++i) {
           ASSERT_TRUE(same_filter(got[i], want[i])) << "expired #" << i;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "packet/craft.hpp"
 
 namespace scap::nic {
@@ -101,11 +103,14 @@ TEST(FdirTable, ExpireReturnsTimedOutFilters) {
   table.add(a);
   table.add(b);
 
-  auto expired = table.expire(Timestamp::from_sec(2));
+  std::vector<FdirFilter> expired;
+  auto collect = [&expired](const FdirFilter& f) { expired.push_back(f); };
+  EXPECT_EQ(table.expire(Timestamp::from_sec(2), collect), 1u);
   ASSERT_EQ(expired.size(), 1u);
   EXPECT_EQ(expired[0].tuple, tuple());
   EXPECT_EQ(table.size(), 1u);
-  expired = table.expire(Timestamp::from_sec(10));
+  expired.clear();
+  EXPECT_EQ(table.expire(Timestamp::from_sec(10), collect), 1u);
   EXPECT_EQ(expired.size(), 1u);
   EXPECT_EQ(table.size(), 0u);
 }

@@ -6,8 +6,10 @@
 // table and record pool cover the working set, per-packet lookup work
 // performs literally no allocations. The same holds for the batched kernel
 // entry on streams past their cutoff, for chunk delivery (reassembly,
-// chunk buffers, event queue, release), and for NIC classify: FDIR match
-// and RSS on a populated filter table.
+// chunk buffers, event queue, release), for streams on never-used record
+// slots, for the §5.5 FDIR filter lifecycle (install, eviction, expiry,
+// doubled re-install, removal), and for NIC classify: FDIR match and RSS
+// on a populated filter table.
 
 #include <gtest/gtest.h>
 
@@ -197,9 +199,10 @@ TEST(SteadyStateAlloc, CutoffDiscardIsAllocFree) {
 // Chunk delivery end to end: streams that complete several 4 KiB chunks
 // each with an overlap carry, close with FIN and are replaced by new ones
 // through the record pool, ingested by handle_batch and drained by a
-// release loop. Once the size-class free lists, the event ring, each
-// builder's completed-chunk hand-off vector and the record pool cover the working
-// set, delivery allocates nothing — with and without per-packet records.
+// release loop. Once the size-class free lists, the event ring, the
+// kernel's completed-chunk hand-off vector and the record pool cover the
+// working set, delivery allocates nothing — with and without per-packet
+// records.
 void expect_chunk_delivery_alloc_free(bool need_pkts) {
   SCOPED_TRACE(need_pkts ? "need_pkts on" : "need_pkts off");
   constexpr std::uint32_t kStreams = 64;
@@ -281,6 +284,173 @@ void expect_chunk_delivery_alloc_free(bool need_pkts) {
 TEST(SteadyStateAlloc, ChunkDeliveryIsAllocFree) {
   expect_chunk_delivery_alloc_free(/*need_pkts=*/false);
   expect_chunk_delivery_alloc_free(/*need_pkts=*/true);
+}
+
+// Streams on never-used record slots: each slot's reassembler is built
+// with the slab and completed chunks leave through the kernel's one
+// hand-off vector, so a stream's first chunk on a fresh slot allocates
+// nothing once the chunk buffers are warm. The warm-up streams stay open,
+// so every measured stream lands on a slot no stream has used before.
+TEST(SteadyStateAlloc, FreshSlotsAreAllocFree) {
+  constexpr std::uint32_t kStreams = 16;
+  constexpr std::size_t kHalfChunk = 2048;
+  constexpr std::size_t kBatch = 8;
+
+  KernelConfig cfg;
+  cfg.defaults.chunk_size = 2 * kHalfChunk;
+  ScapKernel k(cfg);
+  std::uint64_t chunks = 0;
+  auto drain = [&] {
+    auto& q = k.events();
+    while (!q.empty()) {
+      Event ev = q.pop();
+      if (ev.type == EventType::kData) ++chunks;
+      k.release_chunk(ev);
+    }
+  };
+  // kStreams streams from `first_ip`: SYNs, then two half chunks each,
+  // interleaved so every stream holds a chunk buffer at once. Each stream
+  // delivers one full chunk and is left with nothing buffered.
+  const std::vector<std::uint8_t> half(kHalfChunk, 0x3c);
+  const Timestamp t0(0);
+  auto open_streams = [&](std::uint32_t first_ip, bool close) {
+    std::vector<Packet> pkts;
+    for (std::uint32_t i = 0; i < kStreams; ++i) {
+      pkts.push_back(make_tcp_packet(
+          {.tuple = {first_ip + i, 0xc0a80001u, 40000, 80, kProtoTcp},
+           .seq = 0,
+           .flags = kTcpSyn},
+          t0));
+    }
+    for (std::uint32_t n = 0; n < 2; ++n) {
+      for (std::uint32_t i = 0; i < kStreams; ++i) {
+        pkts.push_back(make_tcp_packet(
+            {.tuple = {first_ip + i, 0xc0a80001u, 40000, 80, kProtoTcp},
+             .seq = 1 + n * static_cast<std::uint32_t>(kHalfChunk),
+             .payload = half},
+            t0));
+      }
+    }
+    for (std::uint32_t i = 0; close && i < kStreams; ++i) {
+      pkts.push_back(make_tcp_packet(
+          {.tuple = {first_ip + i, 0xc0a80001u, 40000, 80, kProtoTcp},
+           .seq = 1 + 2 * static_cast<std::uint32_t>(kHalfChunk),
+           .flags = kTcpAck | kTcpFin},
+          t0));
+    }
+    return pkts;
+  };
+  auto run = [&](const std::vector<Packet>& pkts) {
+    const std::span<const Packet> all(pkts);
+    for (std::size_t i = 0; i < all.size(); i += kBatch) {
+      k.handle_batch(all.subspan(i, std::min(kBatch, all.size() - i)), t0);
+      drain();
+    }
+  };
+
+  // Warm-up: the same traffic shape on streams that stay open, so the
+  // chunk buffers, the event ring and the hand-off vector exist.
+  run(open_streams(0x0a000000u, /*close=*/false));
+  const std::vector<Packet> measured = open_streams(0x0b000000u, true);
+  const RecordPoolStats pool_before = k.table().pool_stats();
+
+  chunks = 0;
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  run(measured);
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+
+  const RecordPoolStats pool_after = k.table().pool_stats();
+  EXPECT_EQ(pool_after.slabs, pool_before.slabs);
+  EXPECT_EQ(pool_after.acquired_total - pool_before.acquired_total,
+            kStreams);
+  EXPECT_EQ(pool_after.recycled_total, pool_before.recycled_total)
+      << "measured streams reused a record slot";
+  EXPECT_EQ(chunks, kStreams);
+  EXPECT_EQ(after - before, 0u)
+      << "streams on fresh record slots allocated " << (after - before)
+      << " time(s)";
+}
+
+// The §5.5 filter lifecycle on a kernel that owns its NIC. Every measured
+// pass installs cutoff filters for more streams than the filter table
+// holds (so installs evict), expires them at maintenance ticks,
+// re-installs them twice with doubled timeouts as the streams keep
+// sending, and closes the streams with FIN, which removes their filters.
+// Once the filter slab, its buckets and its expiry heap cover the table's
+// capacity, none of that allocates.
+TEST(SteadyStateAlloc, FdirChurnIsAllocFree) {
+  constexpr std::uint32_t kStreams = 48;
+  constexpr std::size_t kFdirCapacity = 64;  // filters for 32 streams
+  constexpr int kWarmPasses = 3;
+  constexpr int kPasses = 8;
+  const Duration base = Duration::from_msec(10);
+
+  nic::Nic nic(1, symmetric_rss_key(), kFdirCapacity);
+  KernelConfig cfg;
+  cfg.defaults.cutoff_bytes = 64;
+  cfg.defaults.inactivity_timeout = Duration::from_sec(1000);
+  cfg.use_fdir = true;
+  cfg.fdir_base_timeout = base;
+  cfg.expiry_interval = Duration::from_sec(1000);  // ticks run explicitly
+  ScapKernel k(cfg, &nic);
+  auto drain = [&k] {
+    while (!k.events().empty()) k.release_chunk(k.events().pop());
+  };
+
+  // Packet n of every stream: SYN, three 512-byte segments, FIN.
+  const std::vector<std::uint8_t> payload(512, 0xcd);
+  const Timestamp t0(0);
+  std::vector<std::vector<Packet>> steps(5);
+  for (std::uint32_t i = 0; i < kStreams; ++i) {
+    const FiveTuple tup{0x0a000000u + i, 0xc0a80001u, 40000, 80, kProtoTcp};
+    steps[0].push_back(
+        make_tcp_packet({.tuple = tup, .seq = 0, .flags = kTcpSyn}, t0));
+    for (std::uint32_t n = 0; n < 3; ++n) {
+      steps[1 + n].push_back(make_tcp_packet(
+          {.tuple = tup, .seq = 1 + n * 512, .payload = payload}, t0));
+    }
+    steps[4].push_back(make_tcp_packet(
+        {.tuple = tup, .seq = 1 + 3 * 512, .flags = kTcpAck | kTcpFin}, t0));
+  }
+  // handle_batch runs each packet at its own timestamp.
+  auto run = [&](std::vector<Packet>& pkts, Timestamp now) {
+    for (Packet& pkt : pkts) pkt.set_timestamp(now);
+    k.handle_batch(std::span<const Packet>(pkts), now);
+    drain();
+  };
+  Timestamp now = t0;
+  // One stream lifetime: install at the cutoff, then expire and re-install
+  // with 2x and 4x the base timeout, then close.
+  auto pass = [&] {
+    run(steps[0], now);
+    run(steps[1], now);  // past the cutoff: install, evicting when full
+    now = now + base;
+    k.run_maintenance(now);  // every filter has expired
+    run(steps[2], now);      // still sending: re-install, 2x timeout
+    now = now + base * 2;
+    k.run_maintenance(now);
+    run(steps[3], now);  // re-install, 4x timeout
+    run(steps[4], now);  // FIN: the stream's filters are removed
+    now = now + base;
+  };
+  for (int p = 0; p < kWarmPasses; ++p) pass();
+
+  const KernelStats s0 = k.stats();
+  const std::uint64_t evictions0 = nic.fdir().evictions();
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int p = 0; p < kPasses; ++p) pass();
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const KernelStats& s1 = k.stats();
+
+  EXPECT_EQ(s1.fdir_installs - s0.fdir_installs, kStreams * kPasses);
+  EXPECT_EQ(s1.fdir_reinstalls - s0.fdir_reinstalls, 2 * kStreams * kPasses);
+  EXPECT_EQ(s1.fdir_install_failures, s0.fdir_install_failures);
+  EXPECT_GT(nic.fdir().evictions(), evictions0);
+  // Expiry and FIN removal both count as removals.
+  EXPECT_GT(s1.fdir_removals, s0.fdir_removals);
+  EXPECT_EQ(nic.fdir().size(), 0u);
+  EXPECT_EQ(after - before, 0u)
+      << "FDIR filter churn allocated " << (after - before) << " time(s)";
 }
 
 // Record churn on a warm pool: grow() reserves the full pool up front

@@ -60,7 +60,9 @@ Frontends
                    loader scap_taint.py shares. Precise: real overload
                    resolution, templates, canonical types.
 --frontend text    a structural scanner (namespace/class tracking,
-                   declared-type receiver resolution) that needs no
+                   declared-type receiver resolution, calls on a call's
+                   result or on an `auto` local bound to one through the
+                   callee's declared return type) that needs no
                    toolchain. Best-effort but deliberately tuned to
                    produce the same graph on this codebase and on the
                    fixtures, so the gate runs even where libclang is
@@ -245,6 +247,16 @@ CALL_CHAIN_RE = re.compile(
     r"(?:(?:\.|->|::)~?[A-Za-z_][A-Za-z0-9_@]*)*)"
     r"\s*(?:<[^;()<>]{0,100}>)?\s*\(")
 
+# A member call on a call's result: `).f(`, `).a.b->f(` (subscripts and
+# `->` already rewritten). Group 1 is the field path ending in the method.
+RESULT_CALL_RE = re.compile(
+    r"\)\s*\.\s*([A-Za-z_][A-Za-z0-9_@]*(?:\.[A-Za-z_][A-Za-z0-9_@]*)*)"
+    r"\s*(?:<[^;()<>]{0,100}>)?\s*\(")
+# The callee chain that ends right before a call's opening paren.
+CALLEE_TAIL_RE = re.compile(
+    r"([A-Za-z_][A-Za-z0-9_@]*(?:(?:\.|::)~?[A-Za-z_][A-Za-z0-9_@]*)*)"
+    r"\s*(?:<[^;()<>]{0,100}>)?\s*$")
+
 LOCAL_DECL_RE = re.compile(
     r"^\s*((?:const\s+|volatile\s+|static\s+|constexpr\s+)*"
     r"[A-Za-z_][\w:]*(?:\s*<[^;{}]*>)?(?:\s*(?:const\b|[&*]))*)"
@@ -370,6 +382,30 @@ def parse_func_sig(stmt):
     return name, params
 
 
+RET_SPECIFIERS_RE = re.compile(
+    r"\b(?:inline|static|virtual|constexpr|consteval|explicit|friend|"
+    r"extern|SCAP_HOT|SCAP_COLD)\b")
+
+
+def func_return_type(stmt):
+    """Declared return type of the signature in `stmt`, or None for
+    constructors, destructors, operators and `auto` returns."""
+    s = ATTR_RE.sub(" ", strip_template_prefix(stmt))
+    pos = find_toplevel(s, "(")
+    if pos < 0:
+        return None
+    prefix = s[:pos].rstrip()
+    if OPERATOR_RE.search(prefix):
+        return None
+    m = re.search(r"~?[A-Za-z_]\w*(?:\s*::\s*~?[A-Za-z_]\w*)*$", prefix)
+    if m is None:
+        return None
+    ret = RET_SPECIFIERS_RE.sub(" ", prefix[:m.start()]).strip()
+    if not ret or ret.rstrip("&* ") in ("auto", "void"):
+        return None
+    return ret
+
+
 FIELD_DECL_RE = re.compile(
     r"^(?:(?:static|mutable|constexpr|const|inline|volatile)\s+)*"
     r"([A-Za-z_][\w:]*(?:\s*<.*>)?(?:\s*(?:const\b|[&*]))*)"
@@ -401,6 +437,7 @@ class TextFrontend:
         self.class_methods = {}    # class qual -> set(method last names)
         self.classes = {}          # short name -> set of canonical quals
         self.aliases = {}          # alias short name -> type str
+        self.returns = {}          # function qual -> declared return type
         self.bodies = []           # (node name, rel, code, start_off, line)
         self._code = {}            # rel -> stripped code text
 
@@ -463,6 +500,7 @@ class TextFrontend:
                     qual = self._qualify(scopes, name)
                     node = self.graph.node(qual, rel, stmt_line)
                     self._mark(qual, hot, cold)
+                    self._note_return(qual, text_so_far)
                     self._note_method(scopes, name)
                     func = {"name": qual, "depth": 1, "body_off": i,
                             "body_line": line, "params": params}
@@ -561,6 +599,12 @@ class TextFrontend:
             m[0] = m[0] or hot
             m[1] = m[1] or cold
 
+    def _note_return(self, qual, stmt):
+        s = re.sub(r"\b(?:public|private|protected)\s*:", " ", stmt)
+        ret = func_return_type(SCAP_MACRO_RE.sub(" ", s))
+        if ret is not None:
+            self.returns.setdefault(qual, ret)
+
     def _note_method(self, scopes, name):
         cls = self._cur_class(scopes)
         if cls is not None and "::" not in name:
@@ -588,8 +632,10 @@ class TextFrontend:
         if find_toplevel(body, "(") >= 0:
             sig = parse_func_sig(body)
             if sig is not None:
-                self._mark(self._qualify(scopes, sig[0]), hot, cold)
+                qual = self._qualify(scopes, sig[0])
+                self._mark(qual, hot, cold)
                 self._note_method(scopes, sig[0])
+                self._note_return(qual, body)
             return
         cls = self._cur_class(scopes)
         if cls is None or first in ("class", "struct", "union"):
@@ -724,6 +770,11 @@ class TextFrontend:
             for m in CALL_CHAIN_RE.finditer(calls_ln):
                 self._handle_call(node, m.group(1), rel, lineno, locals_,
                                   cur_class)
+            for m in RESULT_CALL_RE.finditer(calls_ln):
+                t = self._result_type(calls_ln, m.start(), locals_,
+                                      cur_class)
+                self._member_call(node, t, m.group(1).split("."), rel,
+                                  lineno)
             self._scan_pool_refs(node, ln, locals_)
 
     def _scan_local_decl(self, node, ln, lineno, rel, locals_, cur_class):
@@ -744,6 +795,12 @@ class TextFrontend:
                 node.add_edge(ctor, rel, lineno)
 
     def _infer_auto(self, ln, locals_, cur_class):
+        cl = self._collapse_subscripts(ln)
+        c = re.search(r"=\s*[*&]?\s*[A-Za-z_][\w:.@]*\s*\(", cl)
+        if c:  # `auto x = a.f(...)`: the call's declared return type
+            close = match_paren(cl, c.end() - 1)
+            return (self._result_type(cl, close, locals_, cur_class)
+                    if close > 0 else None)
         m = re.search(r"=\s*[*&]?\s*([A-Za-z_][\w:.\[\]>-]*)", ln)
         if not m:
             return None
@@ -814,22 +871,8 @@ class TextFrontend:
         chain = chain.replace("->", ".")
         if "." in chain:
             parts = chain.split(".")
-            method = parts[-1].replace("@", "")
-            t = self._resolve_chain_type(parts[:-1], locals_, cur_class)
-            if t is None:
-                return
-            kind, resolved = self.resolve_type(t)
-            if kind == "class":
-                field_t = self.class_fields.get(resolved, {}).get(method)
-                if field_t is not None and \
-                        CALLBACK_TYPE_RE.search(field_t):
-                    node.add_edge("", rel, lineno, kind="callback")
-                elif method in self.class_methods.get(resolved, set()):
-                    node.add_edge(resolved + "::" + method, rel, lineno)
-            elif kind == "std":
-                self._std_member_op(node, resolved, method, rel, lineno)
-            elif kind == "callable":
-                node.add_edge("", rel, lineno, kind="callback")
+            t = self._resolve_chain_type(parts[:1], locals_, cur_class)
+            self._member_call(node, t, parts[1:], rel, lineno)
             return
         # no receiver: qualified or bare
         full = chain.replace("@", "")
@@ -860,6 +903,75 @@ class TextFrontend:
         target = self._resolve_function(cfull, cur_class)
         if target is not None:
             node.add_edge(target, rel, lineno)
+
+    def _member_call(self, node, t, parts, rel, lineno):
+        """Edge or op for calling `parts[-1]` through the field path
+        `parts[:-1]` on a receiver of declared type `t`."""
+        t = self._walk_fields(t, parts[:-1])
+        if t is None:
+            return
+        method = parts[-1].replace("@", "")
+        kind, resolved = self.resolve_type(t)
+        if kind == "class":
+            field_t = self.class_fields.get(resolved, {}).get(method)
+            if field_t is not None and CALLBACK_TYPE_RE.search(field_t):
+                node.add_edge("", rel, lineno, kind="callback")
+            elif method in self.class_methods.get(resolved, set()):
+                node.add_edge(resolved + "::" + method, rel, lineno)
+        elif kind == "std":
+            self._std_member_op(node, resolved, method, rel, lineno)
+        elif kind == "callable":
+            node.add_edge("", rel, lineno, kind="callback")
+
+    def _walk_fields(self, t, parts):
+        """Declared type of `.a.b` (with @ element markers) on a value of
+        type `t`, or None."""
+        for part in parts:
+            if t is None:
+                return None
+            kind, resolved = self.resolve_type(t)
+            if kind != "class":
+                return None
+            t = self.class_fields.get(resolved, {}).get(part.replace("@", ""))
+            for _ in range(part.count("@")):
+                t = self._elem_type(t)
+        return t
+
+    def _result_type(self, ln, close, locals_, cur_class):
+        """Declared return type of the call whose argument list closes at
+        `ln[close]` (`a.b.f(...)`, `f(...)`, or itself chained on a call
+        result), or None."""
+        depth = 0
+        for open_ in range(close, -1, -1):
+            if ln[open_] == ")":
+                depth += 1
+            elif ln[open_] == "(":
+                depth -= 1
+                if depth == 0:
+                    break
+        else:
+            return None
+        m = CALLEE_TAIL_RE.search(ln[:open_])
+        if m is None:
+            return None
+        parts = m.group(1).split(".")
+        before = ln[:m.start()].rstrip()
+        if before.endswith(".") and before[:-1].rstrip().endswith(")"):
+            # `g(...).f(...)`: the receiver is itself a call's result.
+            inner = len(before[:-1].rstrip()) - 1
+            recv = self._result_type(ln, inner, locals_, cur_class)
+        elif len(parts) > 1:
+            recv = self._resolve_chain_type(parts[:1], locals_, cur_class)
+            parts = parts[1:]
+        else:
+            target = self._resolve_function(canon(parts[0].replace("@", "")),
+                                            cur_class)
+            return self.returns.get(target) if target else None
+        kind, resolved = self.resolve_type(
+            self._walk_fields(recv, parts[:-1]))
+        if kind != "class":
+            return None
+        return self.returns.get(resolved + "::" + parts[-1].replace("@", ""))
 
     def _std_member_op(self, node, container, method, rel, lineno):
         if container in STD_CONTAINERS and method in ALLOC_METHODS:
