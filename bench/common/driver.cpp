@@ -108,7 +108,10 @@ std::shared_ptr<ScapPipeline::SteeringPair> ScapPipeline::maybe_steer(
   }
   if (live_.size() < opt_.imbalance_min_streams) return nullptr;
   // A SYN a filter already classifies belongs to a steered connection.
-  if (nic_.fdir().match(pkt) != nullptr) return nullptr;
+  if (nic_.fdir().match(pkt, nic::FdirTable::hash_of(pkt.tuple())) !=
+      nullptr) {
+    return nullptr;
+  }
   const auto q = static_cast<std::size_t>(nic_.rss().queue_for(pkt));
   if (static_cast<double>(core_streams_[q]) <=
       opt_.imbalance_threshold * static_cast<double>(live_.size())) {

@@ -35,8 +35,7 @@ FlowTable::~FlowTable() = default;
 
 RecordPoolStats FlowTable::pool_stats() const { return pool_->stats(); }
 
-StreamRecord* FlowTable::find(const FiveTuple& tuple) {
-  const std::uint64_t h = hash_of(tuple);
+StreamRecord* FlowTable::find(const FiveTuple& tuple, std::uint64_t h) {
   std::size_t i = h & mask_;
   std::size_t probes = 1;
   while (slots_[i].rec != nullptr) {
@@ -159,7 +158,8 @@ void FlowTable::lru_push_front(StreamRecord& rec) {
   if (!lru_tail_) lru_tail_ = &rec;
 }
 
-StreamRecord* FlowTable::create(const FiveTuple& tuple, Timestamp now,
+StreamRecord* FlowTable::create(const FiveTuple& tuple, std::uint64_t hash,
+                                Timestamp now,
                                 FunctionRef<void(StreamRecord&)> on_evict) {
   if (max_records_ > 0 && size_ >= max_records_) {
     // Budget exhausted: evict the oldest stream so the new one can always
@@ -188,7 +188,7 @@ StreamRecord* FlowTable::create(const FiveTuple& tuple, Timestamp now,
   if (rec == nullptr) return nullptr;
   rec->id = next_id_++;
   rec->tuple = tuple;
-  rec->tuple_hash = hash_of(tuple);
+  rec->tuple_hash = hash;
   rec->created_at = now;
   rec->last_access = now;
   rec->last_flush = now;

@@ -112,8 +112,13 @@ class FlowTable {
   FlowTable& operator=(const FlowTable&) = delete;
   ~FlowTable();
 
-  /// Find the record for a directional tuple, or nullptr.
-  SCAP_HOT StreamRecord* find(const FiveTuple& tuple);
+  /// Find the record for a directional tuple, or nullptr. `hash` is
+  /// hash_of(tuple), for a caller that already hashed it (the batch path).
+  SCAP_HOT StreamRecord* find(const FiveTuple& tuple, std::uint64_t hash);
+  StreamRecord* find(const FiveTuple& tuple) {
+    // scap-lint: allow(hot-recursion) overload delegation (callgraph merges overloads by name)
+    return find(tuple, hash_of(tuple));
+  }
 
   /// Create a record for a tuple. If the budget is exhausted, the least
   /// recently used record is evicted first and handed to `on_evict`.
@@ -121,9 +126,16 @@ class FlowTable {
   /// necessarily exists once the budget is reached, and with max_records ==
   /// 0 the table grows without bound. (Creating a tuple that is already
   /// present inserts a second record for it; callers are expected to
-  /// find() first, as the kernel's lookup_or_create does.)
-  StreamRecord* create(const FiveTuple& tuple, Timestamp now,
+  /// find() first, as the kernel's lookup_or_create does.) `hash` is
+  /// hash_of(tuple).
+  StreamRecord* create(const FiveTuple& tuple, std::uint64_t hash,
+                       Timestamp now,
                        FunctionRef<void(StreamRecord&)> on_evict);
+  StreamRecord* create(const FiveTuple& tuple, Timestamp now,
+                       FunctionRef<void(StreamRecord&)> on_evict) {
+    // scap-lint: allow(hot-recursion) overload delegation (callgraph merges overloads by name)
+    return create(tuple, hash_of(tuple), now, on_evict);
+  }
 
   StreamRecord* by_id(StreamId id);
 

@@ -1,6 +1,7 @@
 #include "kernel/module.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdio>
 #include <iterator>
@@ -537,9 +538,10 @@ void ScapKernel::terminate(StreamRecord& rec, StreamStatus status,
   table_.remove(rec);
 }
 
-StreamRecord* ScapKernel::lookup_or_create(const Packet& pkt, Timestamp now,
+StreamRecord* ScapKernel::lookup_or_create(const Packet& pkt,
+                                           std::uint64_t hash, Timestamp now,
                                            PacketOutcome& outcome) {
-  StreamRecord* rec = table_.find(pkt.tuple());
+  StreamRecord* rec = table_.find(pkt.tuple(), hash);
   SCAP_TRACE_METRIC(tracer_, flow_probe_len, table_.last_probe_len());
   if (rec != nullptr) return rec;
 
@@ -549,7 +551,7 @@ StreamRecord* ScapKernel::lookup_or_create(const Packet& pkt, Timestamp now,
   const bool tcp = pkt.is_tcp();
   if (tcp && pkt.payload_len() == 0 && !pkt.has_flag(kTcpSyn)) return nullptr;
 
-  rec = table_.create(pkt.tuple(), now, [&](StreamRecord& victim) {
+  rec = table_.create(pkt.tuple(), hash, now, [&](StreamRecord& victim) {
     // Record budget exhausted: the oldest stream makes way (paper §6.4).
     terminate(victim, StreamStatus::kClosedTimeout, now, nullptr);
     ++stats_.streams_evicted;
@@ -748,7 +750,7 @@ PacketOutcome ScapKernel::handle_packet(const Packet& pkt, Timestamp now,
     // scap-lint: allow(hot-cold-call) amortized maintenance tick: at most once per expiry_interval, not per packet
     run_maintenance(now);
   }
-  const PacketOutcome out = handle_one(pkt, now);
+  const PacketOutcome out = handle_one(pkt, table_.hash_of(pkt.tuple()), now);
   ++stats_.verdicts[static_cast<std::size_t>(out.verdict)];
   SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kPacketVerdict, 0, now,
                    out.stream_id, static_cast<std::uint16_t>(out.verdict),
@@ -757,28 +759,62 @@ PacketOutcome ScapKernel::handle_packet(const Packet& pkt, Timestamp now,
   return out;
 }
 
-PacketOutcome ScapKernel::handle_batch(std::span<const Packet> pkts,
-                                       Timestamp now, int core,
+PacketOutcome ScapKernel::handle_batch(std::span<const Packet* const> pkts,
+                                       Timestamp now,
                                        std::span<PacketOutcome> outcomes) {
-  SCAP_ASSERT(core == 0, "a kernel serves one core");
   // One maintenance-timer check per batch instead of per packet.
   if (now - last_maintenance_ >= config_.expiry_interval) {
     // scap-lint: allow(hot-cold-call) amortized maintenance tick: at most once per expiry_interval, not per batch element
     run_maintenance(now);
   }
   PacketOutcome total;
+  process_batch(pkts, outcomes, total);
+  if (owns_fdir()) apply_fdir_outbox(now);
+  return total;
+}
+
+PacketOutcome ScapKernel::handle_batch(std::span<const Packet> pkts,
+                                       Timestamp now, int core,
+                                       std::span<PacketOutcome> outcomes) {
+  SCAP_ASSERT(core == 0, "a kernel serves one core");
+  if (now - last_maintenance_ >= config_.expiry_interval) {
+    // scap-lint: allow(hot-cold-call) amortized maintenance tick: at most once per expiry_interval, not per batch element
+    run_maintenance(now);
+  }
+  // Point at the packets a stack chunk at a time: the same per-packet
+  // path as the pointer batch, allocating nothing.
+  PacketOutcome total;
+  std::array<const Packet*, 32> ptrs{};
+  for (std::size_t i = 0; i < pkts.size(); i += ptrs.size()) {
+    const std::size_t n = std::min(ptrs.size(), pkts.size() - i);
+    for (std::size_t j = 0; j < n; ++j) ptrs[j] = &pkts[i + j];
+    process_batch(std::span<const Packet* const>(ptrs.data(), n),
+                  outcomes.empty() ? outcomes : outcomes.subspan(i, n), total);
+  }
+  if (owns_fdir()) apply_fdir_outbox(now);
+  return total;
+}
+
+void ScapKernel::process_batch(std::span<const Packet* const> pkts,
+                               std::span<PacketOutcome> outcomes,
+                               PacketOutcome& total) {
+  // Each tuple is hashed once, two packets ahead of its lookup: the hash
+  // pulls the probe window into cache while the packets before it are
+  // processed, then keys the lookup itself. ahead[j % 4] holds packet j's.
+  std::array<std::uint64_t, 4> ahead{};
+  const auto stage = [&](std::size_t j) {
+    ahead[j % 4] = table_.hash_of(pkts[j]->tuple());
+    table_.prefetch(ahead[j % 4]);
+  };
+  for (std::size_t j = 0; j < 2 && j < pkts.size(); ++j) stage(j);
   for (std::size_t i = 0; i < pkts.size(); ++i) {
-    // Pull the probe window for the lookup two packets ahead into cache
-    // while this packet is processed.
-    if (i + 2 < pkts.size() && pkts[i + 2].valid()) {
-      table_.prefetch(table_.hash_of(pkts[i + 2].tuple()));
-    }
-    const PacketOutcome out = handle_one(pkts[i], pkts[i].timestamp());
+    if (i + 2 < pkts.size()) stage(i + 2);
+    const Packet& pkt = *pkts[i];
+    const PacketOutcome out = handle_one(pkt, ahead[i % 4], pkt.timestamp());
     ++stats_.verdicts[static_cast<std::size_t>(out.verdict)];
     SCAP_TRACE_EVENT(tracer_, trace::TraceEventType::kPacketVerdict, 0,
-                     pkts[i].timestamp(), out.stream_id,
-                     static_cast<std::uint16_t>(out.verdict),
-                     pkts[i].wire_len());
+                     pkt.timestamp(), out.stream_id,
+                     static_cast<std::uint16_t>(out.verdict), pkt.wire_len());
     if (!outcomes.empty()) outcomes[i] = out;
     total.verdict = out.verdict;
     total.stored_bytes += out.stored_bytes;
@@ -787,11 +823,10 @@ PacketOutcome ScapKernel::handle_batch(std::span<const Packet> pkts,
     total.terminated_stream = total.terminated_stream || out.terminated_stream;
     total.fdir_updates += out.fdir_updates;
   }
-  if (owns_fdir()) apply_fdir_outbox(now);
-  return total;
 }
 
-PacketOutcome ScapKernel::handle_one(const Packet& pkt, Timestamp now) {
+PacketOutcome ScapKernel::handle_one(const Packet& pkt, std::uint64_t hash,
+                                     Timestamp now) {
   PacketOutcome outcome;
   ++stats_.pkts_seen;
   stats_.bytes_seen += pkt.wire_len();
@@ -819,6 +854,7 @@ PacketOutcome ScapKernel::handle_one(const Packet& pkt, Timestamp now) {
     }
     reassembled_frag = std::move(*done);
     effective = &reassembled_frag;
+    hash = table_.hash_of(effective->tuple());
     if (!effective->valid()) {
       ++stats_.pkts_invalid;
       ++stats_.parse_errors[static_cast<std::size_t>(
@@ -828,10 +864,11 @@ PacketOutcome ScapKernel::handle_one(const Packet& pkt, Timestamp now) {
     }
   }
   const Packet& pkt2 = *effective;
-  return handle_decoded(pkt2, now, outcome);
+  return handle_decoded(pkt2, hash, now, outcome);
 }
 
-PacketOutcome ScapKernel::handle_decoded(const Packet& pkt, Timestamp now,
+PacketOutcome ScapKernel::handle_decoded(const Packet& pkt, std::uint64_t hash,
+                                         Timestamp now,
                                          PacketOutcome& outcome) {
   if (!config_.filter.matches(pkt.tuple())) {
     ++stats_.pkts_filtered;
@@ -848,7 +885,7 @@ PacketOutcome ScapKernel::handle_decoded(const Packet& pkt, Timestamp now,
 
   // A nullptr keeps whatever verdict lookup_or_create set (kNoRecordDrop on
   // allocation failure, the default kIgnored for FIN/RST of unknown flows).
-  StreamRecord* rec = lookup_or_create(pkt, now, outcome);
+  StreamRecord* rec = lookup_or_create(pkt, hash, now, outcome);
   if (rec == nullptr) {
     if (outcome.verdict == Verdict::kIgnored) ++stats_.pkts_ignored;
     return outcome;

@@ -253,15 +253,21 @@ class ScapKernel {
   SCAP_HOT PacketOutcome handle_packet(const Packet& pkt, Timestamp now,
                                        int core = 0) SCAP_REQUIRES(serial_);
 
-  /// Batched ingest: process `pkts`, amortizing the maintenance check (run
-  /// once, at `now`) and prefetching each packet's flow-table probe window
-  /// two packets ahead of its lookup. Each packet is processed at its own
-  /// timestamp. When `outcomes` is non-empty it receives the per-packet
-  /// outcome (outcomes.size() >= pkts.size()); the return value aggregates
-  /// the batch (verdict = last packet's, counters summed).
+  /// Batched ingest: process the packets `pkts` points at, amortizing the
+  /// maintenance check (run once, at `now`) and hashing each tuple once,
+  /// two packets ahead of its lookup, to prefetch its flow-table probe
+  /// window. Each packet is processed at its own timestamp. When
+  /// `outcomes` is non-empty it receives the per-packet outcome
+  /// (outcomes.size() >= pkts.size()); the return value aggregates the
+  /// batch (verdict = last packet's, counters summed).
   /// handle_batch({&pkt, 1}, now) is behaviourally identical to
-  /// handle_packet(pkt, now) when now == pkt.timestamp(). `core` must be 0,
-  /// pinned for the benchmark as in handle_packet.
+  /// handle_packet(pkt, now) when now == pkt.timestamp().
+  SCAP_HOT PacketOutcome handle_batch(std::span<const Packet* const> pkts,
+                                      Timestamp now,
+                                      std::span<PacketOutcome> outcomes = {})
+      SCAP_REQUIRES(serial_);
+  /// The same batch over packets held by value. `core` must be 0, pinned
+  /// for the benchmark as in handle_packet.
   SCAP_HOT PacketOutcome handle_batch(std::span<const Packet> pkts,
                                       Timestamp now, int core = 0,
                                       std::span<PacketOutcome> outcomes = {})
@@ -376,13 +382,19 @@ class ScapKernel {
     allocator_.recycle(ev.chunk.packets);
   }
 
-  /// handle_packet minus the maintenance-timer check (the batch path runs
-  /// that once per batch).
-  PacketOutcome handle_one(const Packet& pkt, Timestamp now)
+  /// Both handle_batch overloads' per-packet loop: verdicts counted and
+  /// traced, outcomes summed into `total`.
+  void process_batch(std::span<const Packet* const> pkts,
+                     std::span<PacketOutcome> outcomes, PacketOutcome& total)
       SCAP_REQUIRES(serial_);
 
-  StreamRecord* lookup_or_create(const Packet& pkt, Timestamp now,
-                                 PacketOutcome& outcome)
+  /// handle_packet minus the maintenance-timer check (the batch path runs
+  /// that once per batch). `hash` is table_.hash_of(pkt.tuple()).
+  PacketOutcome handle_one(const Packet& pkt, std::uint64_t hash,
+                           Timestamp now) SCAP_REQUIRES(serial_);
+
+  StreamRecord* lookup_or_create(const Packet& pkt, std::uint64_t hash,
+                                 Timestamp now, PacketOutcome& outcome)
       SCAP_REQUIRES(serial_);
   void resolve_params(StreamRecord& rec) SCAP_REQUIRES(serial_);
   std::uint64_t app_mask_for(const FiveTuple& tuple) const;
@@ -417,8 +429,9 @@ class ScapKernel {
       SCAP_REQUIRES(serial_);
 
   /// Post-defragmentation continuation of handle_packet.
-  PacketOutcome handle_decoded(const Packet& pkt, Timestamp now,
-                               PacketOutcome& outcome) SCAP_REQUIRES(serial_);
+  PacketOutcome handle_decoded(const Packet& pkt, std::uint64_t hash,
+                               Timestamp now, PacketOutcome& outcome)
+      SCAP_REQUIRES(serial_);
 
   KernelConfig config_;
   /// The serialization domain every entry point requires (see serial()).

@@ -103,7 +103,8 @@ void KernelShards::wake(Shard& s) {
 
 void KernelShards::submit_to(int shard, Packet pkt) {
   if (inline_) {
-    process_run(shard, std::span<const Packet>(&pkt, 1));
+    const Packet* const one = &pkt;
+    process_run(shard, std::span<const Packet* const>(&one, 1));
     return;
   }
   ShardItem item;
@@ -112,28 +113,26 @@ void KernelShards::submit_to(int shard, Packet pkt) {
   push_item(idx(shard), std::move(item));
 }
 
-void KernelShards::submit_run(std::span<const SteeredPacket> run) {
-  if (!inline_) {
-    for (const SteeredPacket& sp : run) submit_to(sp.shard, *sp.pkt);
+void KernelShards::submit_run(std::span<const Packet* const> pkts,
+                              std::span<const int> shards) {
+  if (inline_) {
+    process_run(0, pkts);  // one shard, so the whole run is its batch
     return;
   }
-  // One shard, so the whole run is its batch.
-  for (const SteeredPacket& sp : run) {
-    // scap-lint: allow(hot-alloc) run_ keeps its capacity across runs, so it grows only until it fits the largest run and is absent at steady state
-    run_.push_back(*sp.pkt);
+  for (std::size_t i = 0; i < pkts.size(); ++i) {
+    submit_to(shards[i], *pkts[i]);
   }
-  process_run(0, run_);
-  run_.clear();
 }
 
-void KernelShards::process_run(int shard, std::span<const Packet> pkts) {
+void KernelShards::process_run(int shard,
+                               std::span<const Packet* const> pkts) {
   if (pkts.empty()) return;
   Shard& s = *shards_[idx(shard)];
   s.submitted_pkts.fetch_add(pkts.size(), std::memory_order_relaxed);
   // scap-lint: allow(hot-mutex) one batch-granular lock (producer vs stop/check_invariants), amortized over the whole run — never per packet
   base::MutexLock lock(s.mu);
   base::SerialGuard serial(s.kernel.serial());
-  s.kernel.handle_batch(pkts, pkts.back().timestamp());
+  s.kernel.handle_batch(pkts, pkts.back()->timestamp());
   s.consumed_pkts.fetch_add(pkts.size(), std::memory_order_relaxed);
   publish_and_drain(s, shard);
 }
@@ -370,7 +369,7 @@ void KernelShards::drain_ring_inline(std::size_t shard) {
   Shard& s = *shards_[shard];
   base::SerialGuard consumer(s.ring.consumer());
   std::vector<ShardItem> buf(opts_.batch_size);
-  std::vector<Packet> scratch(opts_.batch_size);
+  std::vector<const Packet*> scratch(opts_.batch_size);
   for (;;) {
     const std::size_t n = s.ring.pop_batch(std::span<ShardItem>(buf));
     if (n == 0) break;
@@ -478,8 +477,8 @@ void KernelShards::worker_main(std::stop_token st, int shard) {
   base::SerialGuard consumer(s.ring.consumer());
   std::vector<ShardItem> buf(opts_.batch_size);
   // Sized like buf and reused for every batch: process_items() writes
-  // packet runs into it by index, so the worker loop never grows it.
-  std::vector<Packet> scratch(opts_.batch_size);
+  // pointers to packet runs into it by index, so the loop never grows it.
+  std::vector<const Packet*> scratch(opts_.batch_size);
   std::uint64_t batches = 0;
   for (;;) {
     const std::size_t n = s.ring.pop_batch(std::span<ShardItem>(buf));
@@ -512,7 +511,7 @@ void KernelShards::worker_main(std::stop_token st, int shard) {
 
 void KernelShards::process_items(Shard& s, int shard,
                                  std::span<ShardItem> items,
-                                 std::vector<Packet>& scratch) {
+                                 std::vector<const Packet*>& scratch) {
   // One lock + one serial-domain entry per *batch* — the per-packet path
   // below is lock-free shard-private state.
   // scap-lint: allow(hot-mutex) one batch-granular lock (worker vs stop/check_invariants), amortized over the whole batch — never per packet
@@ -532,16 +531,16 @@ void KernelShards::process_items(Shard& s, int shard,
       ++i;
       continue;
     }
-    // Move the packet run into the preconstructed scratch slots by index
-    // (never a growth call): items fits one pop_batch, which is capped at
-    // batch_size == scratch.size().
+    // Point the scratch slots at the packet run by index (never a growth
+    // call): items fits one pop_batch, which is capped at batch_size ==
+    // scratch.size(). The popped items outlive the kernel batch.
     std::size_t run = 0;
     while (i < items.size() && items[i].kind == ShardItem::Kind::kPacket) {
-      scratch[run++] = std::move(items[i].pkt);
+      scratch[run++] = &items[i].pkt;
       ++i;
     }
-    s.kernel.handle_batch(std::span<const Packet>(scratch.data(), run),
-                          scratch[run - 1].timestamp());
+    s.kernel.handle_batch(std::span<const Packet* const>(scratch.data(), run),
+                          scratch[run - 1]->timestamp());
     pkts += run;
   }
   // Consumed-packet tally for the in-flight accounting (updated inside the

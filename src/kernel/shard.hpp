@@ -71,12 +71,6 @@ struct ShardItem {
   Timestamp ts{};  // kMaintenance: the tick's simulated time
 };
 
-/// A packet the NIC has steered: its RX queue is its shard.
-struct SteeredPacket {
-  const Packet* pkt;
-  int shard;
-};
-
 /// N per-core ScapKernel instances, threaded behind SPSC ingest rings or
 /// driven inline by the producer.
 ///
@@ -188,12 +182,14 @@ class KernelShards {
   }
   SCAP_HOT void submit_to(int shard, Packet pkt) SCAP_REQUIRES(producer_);
 
-  /// Hand over a run of steered packets in arrival order, copied in.
-  /// Threaded, each is pushed onto its shard's ring as submit_to() would;
-  /// inline, the calling thread processes the run as one kernel batch and
-  /// drains its events — no ring round trip. A run must not straddle a
+  /// Hand over a run of NIC survivors in arrival order, each with its
+  /// shard (its RX queue; shards.size() == pkts.size()). Threaded, each is
+  /// copied onto its shard's ring as submit_to() would; inline, the calling
+  /// thread processes the run as one kernel batch, by pointer, and drains
+  /// its events — no ring round trip, no copy. A run must not straddle a
   /// maintenance tick: call tick_all() between runs.
-  SCAP_HOT void submit_run(std::span<const SteeredPacket> run)
+  SCAP_HOT void submit_run(std::span<const Packet* const> pkts,
+                           std::span<const int> shards)
       SCAP_REQUIRES(producer_);
 
   /// Push an in-band maintenance marker at simulated time `now` onto every
@@ -328,12 +324,12 @@ class KernelShards {
   }
   void worker_main(std::stop_token st, int shard);
   /// One mutex + serial-domain entry per batch; scratch is the caller's
-  /// reusable packet buffer (no per-batch allocation).
+  /// reusable buffer of pointers into `items` (no per-batch allocation).
   SCAP_HOT void process_items(Shard& s, int shard, std::span<ShardItem> items,
-                              std::vector<Packet>& scratch);
+                              std::vector<const Packet*>& scratch);
   /// Inline shards: one kernel entry for a run of packets, processed and
   /// drained on the calling thread.
-  SCAP_HOT void process_run(int shard, std::span<const Packet> pkts)
+  SCAP_HOT void process_run(int shard, std::span<const Packet* const> pkts)
       SCAP_REQUIRES(producer_);
   /// Consume everything on `shard`'s ring on the calling thread — the one
   /// consumer whenever no worker thread exists (pre-start, post-stop).
@@ -393,8 +389,6 @@ class KernelShards {
   DrainFn drain_;
   std::vector<std::jthread> workers_;
   mutable base::SerialDomain producer_;
-  /// Inline shards: the run submit_run() gathers for one kernel batch.
-  std::vector<Packet> run_ SCAP_GUARDED_BY(producer_);
   /// Producer-local push counts per shard (single producer, no atomics).
   std::vector<std::uint64_t> pushed_ SCAP_GUARDED_BY(producer_);
   bool stopped_ SCAP_GUARDED_BY(producer_) = false;

@@ -1,11 +1,18 @@
 #include "nic/fdir.hpp"
 
-#include "base/bytes.hpp"
 #include "faultinject/faultinject.hpp"
 
 namespace scap::nic {
 
 namespace {
+
+void prefetch(const void* p) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(p);
+#else
+  (void)p;
+#endif
+}
 
 // Ids pack the slot in the low half and its generation in the high half;
 // generations start at 1, so a live id is never 0.
@@ -63,7 +70,8 @@ std::uint64_t FdirTable::add(const FdirFilter& filter,
 
 void FdirTable::append_to_chain(std::uint32_t slot) {
   slab_[slot].next = kNil;
-  std::uint32_t* link = &buckets_[bucket_of(slab_[slot].filter.tuple)];
+  std::uint32_t* link =
+      &buckets_[bucket_of(hash_of(slab_[slot].filter.tuple))];
   while (*link != kNil) link = &slab_[*link].next;
   *link = slot;
 }
@@ -87,7 +95,7 @@ void FdirTable::grow_buckets() {
 
 void FdirTable::release(std::uint32_t slot) {
   Entry& e = slab_[slot];
-  std::uint32_t* link = &buckets_[bucket_of(e.filter.tuple)];
+  std::uint32_t* link = &buckets_[bucket_of(hash_of(e.filter.tuple))];
   while (*link != slot) link = &slab_[*link].next;
   *link = e.next;
   heap_erase(e.heap_pos);
@@ -166,7 +174,7 @@ std::size_t FdirTable::remove_tuple(const FiveTuple& tuple,
                                    std::optional<FdirAction> action) {
   if (size_ == 0) return 0;
   std::size_t removed = 0;
-  for (std::uint32_t i = buckets_[bucket_of(tuple)]; i != kNil;) {
+  for (std::uint32_t i = buckets_[bucket_of(hash_of(tuple))]; i != kNil;) {
     const std::uint32_t next = slab_[i].next;
     const FdirFilter& f = slab_[i].filter;
     if (f.tuple == tuple && (!action || f.action == *action)) {
@@ -178,22 +186,36 @@ std::size_t FdirTable::remove_tuple(const FiveTuple& tuple,
   return removed;
 }
 
-const FdirFilter* FdirTable::match(const Packet& pkt) const {
+void FdirTable::stage(std::span<const Packet> pkts,
+                      std::span<std::uint64_t> hashes) const {
+  if (size_ == 0) return;
+  for (std::size_t i = 0; i < pkts.size(); ++i) {
+    hashes[i] = hash_of(pkts[i].tuple());
+    prefetch(&buckets_[bucket_of(hashes[i])]);
+  }
+  for (std::size_t i = 0; i < pkts.size(); ++i) {
+    const std::uint32_t head = buckets_[bucket_of(hashes[i])];
+    if (head != kNil) prefetch(&slab_[head]);
+  }
+}
+
+const FdirFilter* FdirTable::match(const Packet& pkt,
+                                   std::uint64_t hash) const {
   if (size_ == 0) return nullptr;
   const FiveTuple& tuple = pkt.tuple();
-  for (std::uint32_t i = buckets_[bucket_of(tuple)]; i != kNil;
+  const FdirFilter* steer = nullptr;
+  for (std::uint32_t i = buckets_[bucket_of(hash)]; i != kNil;
        i = slab_[i].next) {
     const FdirFilter& f = slab_[i].filter;
     if (!(f.tuple == tuple)) continue;
-    if (f.has_flex) {
-      const auto frame = pkt.frame();
-      if (frame.size() < static_cast<std::size_t>(f.flex_offset) + 2) continue;
-      const std::uint16_t halfword = load_be16(frame.data() + f.flex_offset);
-      if ((halfword & f.flex_mask) != (f.flex_value & f.flex_mask)) continue;
+    if (f.has_flex && (!pkt.has_flex_word() ||
+                       ((pkt.flex_word() ^ f.flex_value) & f.flex_mask) != 0)) {
+      continue;
     }
-    return &f;
+    if (f.action == FdirAction::kDrop) return &f;
+    if (steer == nullptr) steer = &f;
   }
-  return nullptr;
+  return steer;
 }
 
 std::size_t FdirTable::expire(
@@ -220,7 +242,6 @@ std::array<FdirFilter, kCutoffFilters> make_cutoff_filters(
     f.tuple = tuple;
     f.action = FdirAction::kDrop;
     f.has_flex = true;
-    f.flex_offset = kTcpFlagsFlexOffset;
     f.flex_value = flags[i];
     f.flex_mask = 0x003f;  // the six flag bits
     f.expires = expires;

@@ -2,9 +2,12 @@
 // perfect-match filters (paper §2.1, §5.5).
 //
 // A filter matches a packet's 5-tuple plus an optional "flexible 2-byte
-// tuple" anywhere in the first 64 bytes of the frame (the paper's modified
-// driver points it at the TCP offset/reserved/flags bytes so that ACK and
-// ACK|PSH data packets can be dropped while RST/FIN still reach the host).
+// tuple". The 82599 has one flex-byte offset per port (FDIRCTRL), not one
+// per filter; the paper's modified driver points it at the TCP
+// offset/reserved/flags bytes (kTcpFlagsFlexOffset) so that ACK and
+// ACK|PSH data packets can be dropped while RST/FIN still reach the host.
+// Packet::decode reads that halfword once, so a filter compares its masked
+// value against the descriptor and the NIC never touches frame bytes.
 // Matching packets are either dropped at the NIC — never reaching main
 // memory, the "subzero copy" path — or steered to an explicit RX queue
 // (dynamic load balancing).
@@ -15,14 +18,17 @@
 // soonest-to-expire filter when full.
 //
 // Layout (the FlowTable idiom): filters live in a slab with a free list; a
-// power-of-two bucket array, keyed by a seeded field-wise tuple hash,
-// holds the head of each bucket's chain. A match reads one bucket and
-// walks its chain — with the table at load <= 1 usually one entry —
-// before the flex read. Chains are appended at the tail, so the first
-// live filter for a tuple is the earliest installed. Filter ids encode
-// slot and generation, so removal needs no id index and a stale id is
-// recognised as such. The bucket array is allocated on the first add: an
-// empty table costs nothing to build or to match against.
+// power-of-two bucket array, keyed by a seeded field-wise tuple hash
+// (hash_of), holds the head of each bucket's chain. A match reads one
+// bucket and walks its chain — with the table at load <= 1 usually one
+// entry. Chains are appended at the tail, so filters of one tuple sit in
+// install order. Batched classify hashes a whole batch first and
+// prefetches each bucket, then each chain head (stage), before any match;
+// callers keep hashes, never bucket indices, because an add between
+// staging and matching may grow the buckets. Filter ids encode slot and
+// generation, so removal needs no id index and a stale id is recognised
+// as such. The bucket array is allocated on the first add: an empty table
+// costs nothing to build, stage or match against.
 //
 // Expiry order is an indexed binary min-heap of slab slots keyed by
 // (expiry, install sequence): ties expire in install order. Each entry
@@ -36,6 +42,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "base/clock.hpp"
@@ -52,10 +59,9 @@ struct FdirFilter {
   FdirAction action = FdirAction::kDrop;
   int queue = 0;  // for kToQueue
 
-  // Flexible 2-byte match window (big-endian halfword at `flex_offset` into
-  // the frame, masked). Offset must lie within the first 64 bytes.
+  // Flexible 2-byte match on the NIC's one flex window (Packet::flex_word,
+  // masked). A frame too short to reach the window never matches.
   bool has_flex = false;
-  std::uint8_t flex_offset = 0;
   std::uint16_t flex_value = 0;
   std::uint16_t flex_mask = 0xffff;
 
@@ -86,8 +92,23 @@ class FdirTable {
   std::size_t remove_tuple(const FiveTuple& tuple,
                            std::optional<FdirAction> action = std::nullopt);
 
-  /// Earliest-installed filter matching this packet, or nullptr.
-  SCAP_HOT const FdirFilter* match(const Packet& pkt) const;
+  /// Seeded hash of a tuple — the key match() and stage() take.
+  static constexpr std::uint64_t hash_of(const FiveTuple& t) {
+    return hash_tuple(t, kHashSeed);
+  }
+
+  /// Hash each packet's tuple into `hashes` (hashes.size() >= pkts.size())
+  /// and prefetch what match() will read: every bucket first, then every
+  /// chain head. Does nothing on an empty table, which match() answers
+  /// without a hash.
+  SCAP_HOT void stage(std::span<const Packet> pkts,
+                      std::span<std::uint64_t> hashes) const;
+
+  /// The filter matching this packet, or nullptr; `hash` is
+  /// hash_of(pkt.tuple()). A drop filter wins over a steering filter (a
+  /// steered connection's data past its cutoff is still dropped at the
+  /// NIC); among filters of one action the earliest installed wins.
+  SCAP_HOT const FdirFilter* match(const Packet& pkt, std::uint64_t hash) const;
 
   /// Remove every filter whose timeout has passed, soonest expiry first
   /// (install order among equal expiries), and return how many. Each is
@@ -110,7 +131,9 @@ class FdirTable {
   static constexpr std::uint64_t kHashSeed = 0xfd1e'5eed'0f82'5990ULL;
   static constexpr std::size_t kMinBuckets = 16;
 
-  struct Entry {
+  // One cache line per entry: a chain step reads the filter and `next`
+  // from one line, never two.
+  struct alignas(64) Entry {
     FdirFilter filter;
     std::uint64_t install_seq = 0;  // breaks expiry ties: install order
     std::uint32_t heap_pos = kNil;  // index into heap_ while live
@@ -118,9 +141,10 @@ class FdirTable {
     std::uint32_t gen = 1;      // id generation, bumped when the slot frees
     bool live = false;
   };
+  static_assert(sizeof(Entry) == 64);
 
-  std::size_t bucket_of(const FiveTuple& t) const {
-    return hash_tuple(t, kHashSeed) & (buckets_.size() - 1);
+  std::size_t bucket_of(std::uint64_t hash) const {
+    return hash & (buckets_.size() - 1);
   }
   void append_to_chain(std::uint32_t slot);
   void release(std::uint32_t slot);
@@ -148,10 +172,6 @@ class FdirTable {
   // to expire and the eviction victim.
   std::vector<std::uint32_t> heap_;
 };
-
-/// Frame byte offset of the TCP offset/reserved/flags halfword for a frame
-/// with no IP options (Ethernet 14 + IPv4 20 + TCP offset 12).
-constexpr std::uint8_t kTcpFlagsFlexOffset = 14 + 20 + 12;
 
 /// Filters one cutoff install places (make_cutoff_filters).
 inline constexpr std::size_t kCutoffFilters = 2;

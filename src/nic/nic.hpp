@@ -9,6 +9,11 @@
 //      steers it to an explicit queue (dynamic load balancing).
 //   2. Otherwise RSS hashes the 4-tuple onto one of the RX queues.
 //
+// Classification reads descriptors only: the tuple, the wire length and
+// the flex word Packet::decode took from the NIC's one flex window. A
+// batched caller hashes and prefetches the whole batch's FDIR probes first
+// (fdir().stage) and passes each packet's hash to receive().
+//
 // The NIC itself is a classifier + statistics block; queueing/backlog is
 // modeled by the per-core QueueServer the caller feeds (see src/sim/).
 #pragma once
@@ -50,16 +55,16 @@ class Nic {
     stats_.per_queue.assign(static_cast<std::size_t>(rss_.num_queues()), 0);
   }
 
-  /// Classify one arriving packet.
-  SCAP_HOT RxResult receive(const Packet& pkt);
-
-  /// Batched ingest, called with each packet of [pkt, end) just before it
-  /// is received: start the frame loads receive() will make further on,
-  /// the way handle_batch prefetches flow-table probes. The frame buffer
-  /// object is fetched four packets ahead, the flex window behind it two
-  /// ahead. Only flex filters read frames, so with no filter installed
-  /// this does nothing.
-  SCAP_HOT void prefetch_ahead(const Packet* pkt, const Packet* end) const;
+  /// Classify one arriving packet; `fdir_hash` is
+  /// FdirTable::hash_of(pkt.tuple()), as fdir().stage() computes it for a
+  /// batch.
+  SCAP_HOT RxResult receive(const Packet& pkt, std::uint64_t fdir_hash);
+  /// A lone packet, hashed here (only while a filter is installed).
+  RxResult receive(const Packet& pkt) {
+    // scap-lint: allow(hot-recursion) overload delegation (callgraph merges overloads by name)
+    return receive(pkt,
+                   fdir_.size() == 0 ? 0 : FdirTable::hash_of(pkt.tuple()));
+  }
 
   FdirTable& fdir() { return fdir_; }
   const FdirTable& fdir() const { return fdir_; }

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "base/bytes.hpp"
+
 namespace scap {
 
 Packet Packet::decode(FrameBuffer frame, Timestamp ts, std::uint32_t wire_len) {
@@ -14,6 +16,10 @@ Packet Packet::decode(FrameBuffer frame, Timestamp ts, std::uint32_t wire_len) {
   }
   const auto bytes = std::span<const std::uint8_t>(*p.frame_);
   p.wire_len_ = wire_len ? wire_len : static_cast<std::uint32_t>(bytes.size());
+  if (bytes.size() >= kTcpFlagsFlexOffset + 2u) {
+    p.flex_word_ = load_be16(bytes.data() + kTcpFlagsFlexOffset);
+    p.has_flex_word_ = true;
+  }
 
   const auto eth = parse_eth(bytes, &p.decode_error_);
   if (!eth) return p;

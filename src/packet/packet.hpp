@@ -19,6 +19,11 @@ namespace scap {
 
 using FrameBuffer = std::shared_ptr<const std::vector<std::uint8_t>>;
 
+/// Frame byte offset of the TCP offset/reserved/flags halfword for a frame
+/// with no IP options (Ethernet 14 + IPv4 20 + TCP offset 12): the one
+/// flex-byte window the NIC's FDIR filters match on (paper §5.5).
+constexpr std::uint8_t kTcpFlagsFlexOffset = 14 + 20 + 12;
+
 class Packet {
  public:
   Packet() = default;
@@ -70,6 +75,12 @@ class Packet {
   }
   const FrameBuffer& frame_buffer() const { return frame_; }
 
+  /// The big-endian halfword at kTcpFlagsFlexOffset, read from the raw
+  /// frame whatever its protocol — what the NIC's flex-byte window sees.
+  /// Absent (and 0) when the captured frame is too short to reach it.
+  bool has_flex_word() const { return has_flex_word_; }
+  std::uint16_t flex_word() const { return flex_word_; }
+
   /// IP-fragmentation status (strict reassembly cares).
   bool is_ip_fragment() const { return ip_fragment_; }
 
@@ -100,11 +111,18 @@ class Packet {
   std::uint32_t seq_ = 0;
   std::uint32_t ack_ = 0;
   std::uint16_t payload_off_ = 0;
+  // Decoded with the headers, so the NIC classifies without touching the
+  // frame; remapped()/with_flow() share the frame and keep it.
+  std::uint16_t flex_word_ = 0;
   std::uint32_t payload_len_ = 0;
   std::uint32_t wire_payload_len_ = 0;
   bool valid_ = false;
   bool ip_fragment_ = false;
   DecodeError decode_error_ = DecodeError::kNone;
+  bool has_flex_word_ = false;
 };
+
+// The flex word rides in what was padding: descriptor copies stay 72 bytes.
+static_assert(sizeof(Packet) == 72);
 
 }  // namespace scap

@@ -1,6 +1,7 @@
 #include "scap/capture.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <utility>
 
@@ -273,6 +274,11 @@ void Capture::start() {
       dispatch_event_on(k, ev);
     }
   });
+  // A run is at most one inject_batch call: sized for a stage window up
+  // front, the staging vectors do not grow for callers that batch by 32
+  // (replay_pcap) and otherwise grow only to the largest batch.
+  staged_.reserve(kStageWindow);
+  staged_queues_.reserve(kStageWindow);
   started_ = true;
 }
 
@@ -366,38 +372,51 @@ void Capture::inject_batch(std::span<const Packet> pkts) {
   base::MutexLock plock(producer_mutex_);
   base::SerialGuard prod(shards_->producer());
   last_ts_ = pkts.back().timestamp();
+  // FDIR probe hashes of the current stage window.
+  std::array<std::uint64_t, kStageWindow> hashes{};
   const Packet* next = pkts.data();
   const Packet* const end = next + pkts.size();
   for (;;) {
     // One pass, under one bounded NIC critical section: classify each
     // packet and stage the survivors, by pointer and in arrival order, with
     // their RX queue (== shard index), up to the first survivor that must
-    // wait for a maintenance tick. The shards copy them in at hand-off. Only survivors' timestamps are read: an
+    // wait for a maintenance tick. Each window of packets is hashed, and
+    // its FDIR buckets and chains prefetched, before any is classified;
+    // the filters only change outside this section, so the hashes hold
+    // for the whole window. Only survivors' timestamps are read: an
     // FDIR-dropped packet — most of a cutoff-heavy load — costs just the
     // NIC lookup.
     int due_queue = -1;
     {
       base::MutexLock lock(kernel_mutex_);
-      for (; next != end; ++next) {
-        nic_->prefetch_ahead(next, end);
-        const nic::RxResult rx = nic_->receive(*next);
-        if (rx.disposition == nic::RxDisposition::kDroppedByFilter) continue;
-        if (tick_due(next->timestamp())) {
-          due_queue = rx.queue;
-          break;
+      while (next != end && due_queue < 0) {
+        const auto window = std::span<const Packet>(
+            next, std::min<std::size_t>(kStageWindow,
+                                        static_cast<std::size_t>(end - next)));
+        nic_->fdir().stage(window, hashes);
+        for (std::size_t i = 0; i < window.size(); ++i, ++next) {
+          const nic::RxResult rx = nic_->receive(*next, hashes[i]);
+          if (rx.disposition == nic::RxDisposition::kDroppedByFilter) continue;
+          if (tick_due(next->timestamp())) {
+            due_queue = rx.queue;
+            break;
+          }
+          staged_.push_back(next);
+          staged_queues_.push_back(rx.queue);
         }
-        staged_.push_back({next, rx.queue});
       }
     }
     // Hand the run over — never under kernel_mutex_: with zero workers
     // this runs the callbacks, with workers it may spin on a full ring.
     if (!staged_.empty()) {
-      shards_->submit_run(staged_);
+      shards_->submit_run(staged_, staged_queues_);
       staged_.clear();
+      staged_queues_.clear();
     }
     if (due_queue < 0) return;
     advance_ticks(next->timestamp());
-    staged_.push_back({next++, due_queue});
+    staged_.push_back(next++);
+    staged_queues_.push_back(due_queue);
   }
 }
 

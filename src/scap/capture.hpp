@@ -249,8 +249,8 @@ class Capture {
   /// Feed a batch of packets. Between maintenance ticks the NIC classifies
   /// each packet in order and stages the survivors; the shards then get
   /// the run at once — processed right here with zero workers (one
-  /// handle_batch, events dispatched before returning), pushed onto the
-  /// rings otherwise. FDIR filters installed while a run is processed
+  /// handle_batch over pointers into `pkts`, events dispatched before
+  /// returning), copied onto the rings otherwise. FDIR filters installed while a run is processed
   /// take effect from the next run. Results land in stats().
   void inject_batch(std::span<const Packet> pkts)
       SCAP_EXCLUDES(kernel_mutex_, producer_mutex_);
@@ -375,8 +375,12 @@ class Capture {
   mutable base::Mutex kernel_mutex_;    // inner; NIC + capture tracer
   Timestamp last_tick_ SCAP_GUARDED_BY(producer_mutex_);
   bool ticks_started_ SCAP_GUARDED_BY(producer_mutex_) = false;
-  /// The current run's NIC survivors, pointing into the caller's batch.
-  std::vector<kernel::SteeredPacket> staged_ SCAP_GUARDED_BY(producer_mutex_);
+  /// Packets inject_batch hashes and prefetches FDIR probes for at once.
+  static constexpr std::size_t kStageWindow = 32;
+  /// The current run's NIC survivors, pointing into the caller's batch,
+  /// and their RX queues (== shard indices).
+  std::vector<const Packet*> staged_ SCAP_GUARDED_BY(producer_mutex_);
+  std::vector<int> staged_queues_ SCAP_GUARDED_BY(producer_mutex_);
   std::atomic<std::uint64_t> events_dispatched_{0};
 };
 

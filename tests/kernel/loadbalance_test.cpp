@@ -155,6 +155,19 @@ TEST(LoadBalance, SteeringStaysOutOfKernelFdirCounters) {
                                nic::kCutoffFilters * ks.fdir_installs;
   ASSERT_GT(steering, 0u);
 
+  // Both directions are past their cutoff, so all their data is dropped at
+  // the NIC — on steered connections too: a drop filter wins over the
+  // steering filter installed before it on the same tuple.
+  const std::uint64_t nic_drops = pipe.nic().stats().dropped_by_filter;
+  const std::uint64_t cutoff_discards = ks.pkts_cutoff;
+  for (auto& s : sessions) {
+    pipe.offer(s.data("more", clock.next()));
+    pipe.offer(s.reply_data("more", clock.next()));
+  }
+  EXPECT_EQ(pipe.nic().stats().dropped_by_filter - nic_drops,
+            2 * sessions.size());
+  EXPECT_EQ(pipe.kernel().stats().pkts_cutoff, cutoff_discards);
+
   // Past the cutoff filters' lifetime: the maintenance pass expires them
   // and leaves the steering pairs.
   clock.t = clock.t + Duration::from_sec(2);

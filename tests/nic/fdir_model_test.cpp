@@ -1,10 +1,13 @@
 // Model-based differential test of the FDIR filter table: seeded random op
 // sequences run against FdirTable and against a naive model — a vector of
-// live filters in install order, scanned front to back — and every
-// observable is compared after every op.
+// live filters in install order, scanned front to back, reading the flex
+// window from the frame bytes — and every observable is compared after
+// every op. Probes are matched with hashes staged before the op, the way a
+// batch is hashed before a mid-batch add may grow the buckets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <random>
@@ -25,8 +28,8 @@ struct Installed {
 
 bool same_filter(const FdirFilter& a, const FdirFilter& b) {
   return a.tuple == b.tuple && a.action == b.action && a.queue == b.queue &&
-         a.has_flex == b.has_flex && a.flex_offset == b.flex_offset &&
-         a.flex_value == b.flex_value && a.flex_mask == b.flex_mask &&
+         a.has_flex == b.has_flex && a.flex_value == b.flex_value &&
+         a.flex_mask == b.flex_mask &&
          a.expires == b.expires;
 }
 
@@ -104,22 +107,25 @@ class Model {
     return out;
   }
 
+  // The first matching drop filter, else the first matching steering
+  // filter, in install order.
   const FdirFilter* match(const Packet& pkt) const {
-    const auto frame = pkt.frame();
+    const FdirFilter* steer = nullptr;
     for (const Installed& e : live) {
       const FdirFilter& f = e.filter;
       if (!(f.tuple == pkt.tuple())) continue;
       if (f.has_flex) {
-        if (frame.size() < static_cast<std::size_t>(f.flex_offset) + 2u) {
-          continue;
-        }
-        const std::uint16_t halfword = static_cast<std::uint16_t>(
-            (frame[f.flex_offset] << 8) | frame[f.flex_offset + 1u]);
+        const auto frame = pkt.frame();
+        if (frame.size() < kTcpFlagsFlexOffset + 2u) continue;
+        const std::uint16_t halfword =
+            static_cast<std::uint16_t>((frame[kTcpFlagsFlexOffset] << 8) |
+                                       frame[kTcpFlagsFlexOffset + 1u]);
         if ((halfword & f.flex_mask) != (f.flex_value & f.flex_mask)) continue;
       }
-      return &f;
+      if (f.action == FdirAction::kDrop) return &f;
+      if (steer == nullptr) steer = &f;
     }
-    return nullptr;
+    return steer;
   }
 
   std::vector<Installed> live;    // install order
@@ -149,12 +155,17 @@ class FdirModelTest : public ::testing::Test {
         TcpSegmentSpec spec;
         spec.tuple = t;
         spec.flags = flags;
-        // Data segments carry payload; the others are header-only frames,
-        // too short for a flex window at offset 60.
+        // Data segments carry payload; the others are header-only frames.
         if (flags == kTcpAck || flags == (kTcpAck | kTcpPsh)) {
           spec.payload = std::span<const std::uint8_t>(data);
         }
-        packets_.push_back(make_tcp_packet(spec, Timestamp(0)));
+        const Packet pkt = make_tcp_packet(spec, Timestamp(0));
+        packets_.push_back(pkt);
+        // Snapped short of the flex window, restamped with the tuple (as
+        // generators stamp templates): the tuple matches, the flex never.
+        for (std::uint32_t snap : {40u, kTcpFlagsFlexOffset + 1u}) {
+          packets_.push_back(pkt.snapped(snap).with_flow(t, 0, Timestamp(0)));
+        }
       }
     }
   }
@@ -169,15 +180,13 @@ class FdirModelTest : public ::testing::Test {
       case 1:
       case 2:  // the two cutoff variants: flags == ACK, flags == ACK|PSH
         f.has_flex = true;
-        f.flex_offset = kTcpFlagsFlexOffset;
         f.flex_value = (rng() % 2) ? kTcpAck : (kTcpAck | kTcpPsh);
         f.flex_mask = 0x003f;
         break;
-      default:  // a window past the end of header-only frames
+      default:  // an empty mask: any frame that reaches the window
         f.has_flex = true;
-        f.flex_offset = 60;
         f.flex_value = 0;
-        f.flex_mask = 0xffff;
+        f.flex_mask = 0;
         break;
     }
     if (rng() % 4 == 0) {
@@ -198,6 +207,17 @@ TEST_F(FdirModelTest, MatchesNaiveScanAcrossCapacities) {
     FdirTable table(capacity, kQueues);
     Model model(capacity);
     for (int op = 0; op < 300; ++op) {
+      // Hash a probe batch before the op, as a classify pass does; an add
+      // may then grow the buckets before the probes are matched.
+      std::vector<Packet> probes;
+      for (int k = 0; k < 8; ++k) {
+        probes.push_back(packets_[rng() % packets_.size()]);
+      }
+      std::array<std::uint64_t, 8> hashes{};
+      for (int k = 0; k < 8; ++k) {
+        hashes[k] = FdirTable::hash_of(probes[k].tuple());
+      }
+      table.stage(probes, hashes);  // rewrites them; a no-op when empty
       const auto kind = rng() % 10;
       if (kind < 6) {
         const FdirFilter f = random_filter(rng);
@@ -243,9 +263,9 @@ TEST_F(FdirModelTest, MatchesNaiveScanAcrossCapacities) {
       ASSERT_EQ(table.size(), model.live.size());
       ASSERT_EQ(table.evictions(), model.evictions);
       ASSERT_EQ(table.add_failures(), model.add_failures);
-      for (int probe = 0; probe < 8; ++probe) {
-        const Packet& pkt = packets_[rng() % packets_.size()];
-        const FdirFilter* got = table.match(pkt);
+      for (int k = 0; k < 8; ++k) {
+        const Packet& pkt = probes[k];
+        const FdirFilter* got = table.match(pkt, hashes[k]);
         const FdirFilter* want = model.match(pkt);
         ASSERT_EQ(got == nullptr, want == nullptr)
             << "capacity " << capacity << " op " << op;

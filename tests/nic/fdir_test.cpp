@@ -20,6 +20,10 @@ Packet tcp_packet(std::uint8_t flags, const FiveTuple& t = tuple()) {
   return make_tcp_packet(spec, Timestamp(0));
 }
 
+const FdirFilter* match(const FdirTable& table, const Packet& pkt) {
+  return table.match(pkt, FdirTable::hash_of(pkt.tuple()));
+}
+
 TEST(FdirTable, ExactTupleMatch) {
   FdirTable table;
   FdirFilter f;
@@ -28,8 +32,8 @@ TEST(FdirTable, ExactTupleMatch) {
   f.expires = Timestamp::from_sec(10);
   table.add(f);
 
-  EXPECT_NE(table.match(tcp_packet(kTcpAck)), nullptr);
-  EXPECT_EQ(table.match(tcp_packet(kTcpAck, tuple().reversed())), nullptr);
+  EXPECT_NE(match(table, tcp_packet(kTcpAck)), nullptr);
+  EXPECT_EQ(match(table, tcp_packet(kTcpAck, tuple().reversed())), nullptr);
 }
 
 TEST(FdirTable, CutoffFiltersDropDataButPassFinRst) {
@@ -37,12 +41,12 @@ TEST(FdirTable, CutoffFiltersDropDataButPassFinRst) {
   for (const auto& f : make_cutoff_filters(tuple(), Timestamp::from_sec(10))) {
     table.add(f);
   }
-  EXPECT_NE(table.match(tcp_packet(kTcpAck)), nullptr);
-  EXPECT_NE(table.match(tcp_packet(kTcpAck | kTcpPsh)), nullptr);
-  EXPECT_EQ(table.match(tcp_packet(kTcpAck | kTcpFin)), nullptr);
-  EXPECT_EQ(table.match(tcp_packet(kTcpRst)), nullptr);
-  EXPECT_EQ(table.match(tcp_packet(kTcpSyn)), nullptr);
-  EXPECT_EQ(table.match(tcp_packet(kTcpSyn | kTcpAck)), nullptr);
+  EXPECT_NE(match(table, tcp_packet(kTcpAck)), nullptr);
+  EXPECT_NE(match(table, tcp_packet(kTcpAck | kTcpPsh)), nullptr);
+  EXPECT_EQ(match(table, tcp_packet(kTcpAck | kTcpFin)), nullptr);
+  EXPECT_EQ(match(table, tcp_packet(kTcpRst)), nullptr);
+  EXPECT_EQ(match(table, tcp_packet(kTcpSyn)), nullptr);
+  EXPECT_EQ(match(table, tcp_packet(kTcpSyn | kTcpAck)), nullptr);
 }
 
 TEST(FdirTable, RemoveById) {
@@ -55,7 +59,7 @@ TEST(FdirTable, RemoveById) {
   EXPECT_TRUE(table.remove(id));
   EXPECT_FALSE(table.remove(id));
   EXPECT_EQ(table.size(), 0u);
-  EXPECT_EQ(table.match(tcp_packet(kTcpAck)), nullptr);
+  EXPECT_EQ(match(table, tcp_packet(kTcpAck)), nullptr);
 }
 
 TEST(FdirTable, RemoveTupleClearsBothCutoffFilters) {
@@ -84,7 +88,7 @@ TEST(FdirTable, RemoveTupleWithActionLeavesOtherFilters) {
   EXPECT_EQ(table.remove_tuple(tuple().reversed(), FdirAction::kDrop), 0u);
   EXPECT_EQ(table.remove_tuple(tuple(), FdirAction::kDrop), 2u);
   EXPECT_EQ(table.size(), 1u);
-  const FdirFilter* left = table.match(tcp_packet(kTcpAck));
+  const FdirFilter* left = match(table, tcp_packet(kTcpAck));
   ASSERT_NE(left, nullptr);
   EXPECT_EQ(left->action, FdirAction::kToQueue);
   EXPECT_EQ(left->queue, 3);
@@ -142,14 +146,13 @@ TEST(FdirTable, FlexMatchRespectsMask) {
   FdirFilter f;
   f.tuple = tuple();
   f.has_flex = true;
-  f.flex_offset = kTcpFlagsFlexOffset;
   f.flex_value = kTcpAck;
   f.flex_mask = 0x003f;
   f.expires = Timestamp::from_sec(10);
   table.add(f);
   // Pure ACK matches; ACK|PSH does not (PSH bit differs under the mask).
-  EXPECT_NE(table.match(tcp_packet(kTcpAck)), nullptr);
-  EXPECT_EQ(table.match(tcp_packet(kTcpAck | kTcpPsh)), nullptr);
+  EXPECT_NE(match(table, tcp_packet(kTcpAck)), nullptr);
+  EXPECT_EQ(match(table, tcp_packet(kTcpAck | kTcpPsh)), nullptr);
 }
 
 TEST(FdirTable, SteeringFilterCarriesQueue) {
@@ -160,10 +163,37 @@ TEST(FdirTable, SteeringFilterCarriesQueue) {
   f.queue = 5;
   f.expires = Timestamp::from_sec(10);
   table.add(f);
-  const FdirFilter* m = table.match(tcp_packet(kTcpAck));
+  const FdirFilter* m = match(table, tcp_packet(kTcpAck));
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->action, FdirAction::kToQueue);
   EXPECT_EQ(m->queue, 5);
+}
+
+TEST(FdirTable, DropFilterWinsOverEarlierSteering) {
+  // A §2.4 steering filter installed before the cutoff filters on the same
+  // tuple: data past the cutoff is still dropped at the NIC, while the
+  // packets the drop filters let through stay steered.
+  FdirTable table(8192, 8);
+  FdirFilter steer;
+  steer.tuple = tuple();
+  steer.action = FdirAction::kToQueue;
+  steer.queue = 3;
+  steer.expires = Timestamp::from_sec(100);
+  table.add(steer);
+  for (const FdirFilter& f :
+       make_cutoff_filters(tuple(), Timestamp::from_sec(10))) {
+    table.add(f);
+  }
+  const std::uint8_t data_flags[] = {kTcpAck, kTcpAck | kTcpPsh};
+  for (std::uint8_t flags : data_flags) {
+    const FdirFilter* m = match(table, tcp_packet(flags));
+    ASSERT_NE(m, nullptr);
+    EXPECT_EQ(m->action, FdirAction::kDrop);
+  }
+  const FdirFilter* fin = match(table, tcp_packet(kTcpAck | kTcpFin));
+  ASSERT_NE(fin, nullptr);
+  EXPECT_EQ(fin->action, FdirAction::kToQueue);
+  EXPECT_EQ(fin->queue, 3);
 }
 
 }  // namespace

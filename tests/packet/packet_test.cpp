@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "packet/craft.hpp"
 
@@ -106,6 +108,72 @@ TEST(Packet, NonTcpUdpProtocolValidAtNetworkLayer) {
   EXPECT_FALSE(p.is_tcp());
   EXPECT_FALSE(p.is_udp());
   EXPECT_EQ(p.tuple().src_port, 0);
+}
+
+/// The big-endian halfword a frame carries at the flex window, if any.
+std::optional<std::uint16_t> frame_flex_word(const Packet& p) {
+  const auto f = p.frame();
+  if (f.size() < kTcpFlagsFlexOffset + 2u) return std::nullopt;
+  return static_cast<std::uint16_t>((f[kTcpFlagsFlexOffset] << 8) |
+                                    f[kTcpFlagsFlexOffset + 1u]);
+}
+
+void expect_flex_word_of_frame(const Packet& p) {
+  const auto want = frame_flex_word(p);
+  ASSERT_EQ(p.has_flex_word(), want.has_value()) << p.capture_len();
+  EXPECT_EQ(p.flex_word(), want.value_or(0));
+}
+
+TEST(Packet, FlexWordIsTheFrameHalfwordAtTheFlexWindow) {
+  const std::string data = "payload";
+  TcpSegmentSpec spec;
+  spec.tuple = tuple();
+  spec.flags = kTcpAck | kTcpPsh;
+  spec.payload = payload_of(data);
+  const Packet p = make_tcp_packet(spec, Timestamp(1));
+  expect_flex_word_of_frame(p);
+  ASSERT_TRUE(p.has_flex_word());
+  // Data offset 5 words, then the flags byte.
+  EXPECT_EQ(p.flex_word(), 0x5000 | kTcpAck | kTcpPsh);
+
+  // remapped() and with_flow() share the frame, so they keep its word
+  // even though their tuples no longer match the frame's headers.
+  const Packet r = p.remapped(0x01000000, Timestamp(2));
+  expect_flex_word_of_frame(r);
+  EXPECT_EQ(r.flex_word(), p.flex_word());
+  FiveTuple other = tuple();
+  other.src_port = 1;
+  const Packet w = p.with_flow(other, 77, Timestamp(3));
+  expect_flex_word_of_frame(w);
+  EXPECT_EQ(w.flex_word(), p.flex_word());
+
+  // snapped() re-decodes: 48 bytes still reach the window, 47 do not.
+  const Packet at = p.snapped(kTcpFlagsFlexOffset + 2u);
+  expect_flex_word_of_frame(at);
+  EXPECT_TRUE(at.has_flex_word());
+  for (std::uint32_t snap : {0u, 14u, 34u, kTcpFlagsFlexOffset + 1u}) {
+    const Packet s = p.snapped(snap);
+    expect_flex_word_of_frame(s);
+    EXPECT_FALSE(s.has_flex_word()) << snap;
+    EXPECT_EQ(s.flex_word(), 0) << snap;
+  }
+}
+
+TEST(Packet, FlexWordIgnoresProtocol) {
+  // The NIC reads the window from raw bytes: a UDP datagram or a frame
+  // that does not decode has one too, as long as it is long enough.
+  FiveTuple t{0x0a000001, 0x0a000002, 5353, 53, kProtoUdp};
+  const std::string data = "dns-query-long-enough";
+  expect_flex_word_of_frame(make_udp_packet(t, payload_of(data), Timestamp(0)));
+  std::vector<std::uint8_t> junk(64);
+  for (std::size_t i = 0; i < junk.size(); ++i) {
+    junk[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  const Packet bad = Packet::from_bytes(junk, Timestamp(0));
+  EXPECT_FALSE(bad.valid());
+  expect_flex_word_of_frame(bad);
+  EXPECT_TRUE(bad.has_flex_word());
+  EXPECT_FALSE(Packet().has_flex_word());
 }
 
 }  // namespace
