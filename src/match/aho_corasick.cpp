@@ -1,6 +1,7 @@
 #include "match/aho_corasick.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <string_view>
 
@@ -39,6 +40,15 @@ std::size_t skip_root(const std::uint8_t* leaves, const std::uint8_t* data,
   }
   while (i < end && leaves[data[i]] == 0) ++i;
   return i;
+}
+
+// Index of the first `byte` in data[i, end), or `end`; needs i < end.
+std::size_t find_byte(const std::uint8_t* data, std::size_t i,
+                      std::size_t end, int byte) {
+  const void* hit = std::memchr(data + i, byte, end - i);
+  return hit != nullptr ? static_cast<std::size_t>(
+                              static_cast<const std::uint8_t*>(hit) - data)
+                        : end;
 }
 
 }  // namespace
@@ -130,9 +140,16 @@ void AhoCorasick::build(const std::vector<std::string>& patterns) {
   nodes_ = static_cast<std::uint32_t>(nodes);
   classes_ = classes;
   class_of_ = class_of;
+  int leaving = 0;
+  int last_leaving = -1;
   for (std::size_t b = 0; b < 256; ++b) {
     leaves_root_[b] = delta[class_of[b]] != 0 ? 1 : 0;
+    if (leaves_root_[b] != 0) {
+      ++leaving;
+      last_leaving = static_cast<int>(b);
+    }
   }
+  start_byte_ = leaving == 1 ? last_leaving : -1;
   delta_ = std::move(delta);
   out_heads_ = std::move(out_heads);
   out_links_ = std::move(out_links);
@@ -151,7 +168,8 @@ std::uint64_t AhoCorasick::scan_stream(std::uint32_t& state,
   std::size_t i = 0;
   while (i < size) {
     if (s == root_state()) {
-      i = skip_root(leaves_root_.data(), bytes, i, size);
+      i = start_byte_ >= 0 ? find_byte(bytes, i, size, start_byte_)
+                           : skip_root(leaves_root_.data(), bytes, i, size);
       if (i == size) break;
     }
     do {

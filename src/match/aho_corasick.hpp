@@ -13,9 +13,13 @@
 //    table entry flags "this state has outputs"; the output lists are read
 //    only when it is set.
 //  - Root skip. While the automaton sits at the root it advances over bytes
-//    whose root transition is the root, looking them up eight at a time in a
-//    256-entry "leaves root" table; the serial state chain starts at the
-//    first byte that leaves the root.
+//    whose root transition is the root; the serial state chain starts at the
+//    first byte that leaves the root. When exactly one byte value leaves the
+//    root (a corpus whose patterns all begin with one marker byte, like the
+//    NIDS corpus in corpus.hpp), that byte is found with std::memchr, which
+//    libc vectorizes. Otherwise the bytes are looked up eight at a time in a
+//    256-entry "leaves root" table. The choice is made once per build, from
+//    the patterns alone.
 // Streaming scans carry the state across chunk boundaries (what the paper's
 // `overlap` chunk option otherwise compensates for).
 #pragma once
@@ -68,6 +72,8 @@ class AhoCorasick {
   std::array<std::uint8_t, 256> class_of_{};
   // leaves_root_[byte] != 0 iff the root's transition on `byte` is not root.
   std::array<std::uint8_t, 256> leaves_root_{};
+  // The one byte value that leaves the root, or -1 when none or several do.
+  int start_byte_ = -1;
   // delta_[state + class_of_[byte]] = next state, kOutputFlag set when the
   // next state has outputs.
   std::vector<std::uint32_t> delta_;

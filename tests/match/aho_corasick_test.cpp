@@ -276,6 +276,31 @@ TEST(AhoCorasickDifferential, AllByteValues) {
   check_against_brute_force(pats, alphabet, rng);
 }
 
+TEST(AhoCorasickDifferential, OneStartByte) {
+  Rng rng(106);
+  // Every pattern begins with `start`, so it is the only byte that leaves the
+  // root and the scan finds it with memchr. The byte also occurs inside
+  // patterns and, through the alphabet, alone in the haystack, where no
+  // pattern follows it.
+  for (const char start : {'\x00', '#', '\xff'}) {
+    SCOPED_TRACE(static_cast<int>(static_cast<std::uint8_t>(start)));
+    const std::string alphabet = std::string(1, start) + "ab\x01";
+    std::vector<std::string> pats;
+    for (int i = 0; i < 40; ++i) {
+      pats.push_back(start + random_pattern(rng, alphabet, 1, 6));
+    }
+    check_against_brute_force(pats, alphabet, rng);
+  }
+  // One pattern with a second start byte: two bytes leave the root, so the
+  // scan keeps the table loop, and a prefilter on either byte misses hits.
+  const std::string alphabet = "#ab\x01";
+  std::vector<std::string> pats = {"b#a"};
+  for (int i = 0; i < 40; ++i) {
+    pats.push_back('#' + random_pattern(rng, alphabet, 1, 6));
+  }
+  check_against_brute_force(pats, alphabet, rng);
+}
+
 TEST(Corpus, DeterministicAndMarked) {
   auto a = make_corpus({.pattern_count = 100});
   auto b = make_corpus({.pattern_count = 100});
